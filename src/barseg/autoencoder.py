@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-LATENT_DIMS = (8, 16, 24, 32, 40)
-
 
 @dataclass
 class AEConfig:
@@ -70,13 +68,17 @@ def _col2im(gcol, in_shape, kh, kw, stride, pad):
 
 
 def conv2d(x, K, stride=1, pad=1):
-    """Cross-correlation of x (N,Ci,H,W) with K (Co,Ci,kh,kw)."""
+    """Cross-correlation of x (N,Ci,H,W) with K (Co,Ci,kh,kw).
+
+    Returns (out, col): col is the im2col matrix of x, which the kernel
+    gradient reuses.
+    """
     n = x.shape[0]
     co, ci, kh, kw = K.shape
     assert x.shape[1] == ci, f"channel mismatch {x.shape[1]} vs {ci}"
     col, h_out, w_out = _im2col(x, kh, kw, stride, pad)
     out = col @ K.reshape(co, -1).T
-    return out.reshape(n, h_out, w_out, co).transpose(0, 3, 1, 2)
+    return out.reshape(n, h_out, w_out, co).transpose(0, 3, 1, 2), col
 
 
 def conv2d_grad_input(gy, K, in_shape, stride=1, pad=1):
@@ -88,15 +90,9 @@ def conv2d_grad_input(gy, K, in_shape, stride=1, pad=1):
     return _col2im(gcol, (n, ci) + tuple(in_shape), kh, kw, stride, pad)
 
 
-def conv2d_grad_kernel(x, gy, kernel_shape, stride=1, pad=1, col=None):
-    """Gradient of conv2d w.r.t. the kernel.
-
-    Pass the cached im2col matrix of x via `col` to skip re-unfolding.
-    """
-    co, ci, kh, kw = kernel_shape
-    n, _, h_out, w_out = gy.shape
-    if col is None:
-        col, _, _ = _im2col(x, kh, kw, stride, pad)
+def conv2d_grad_kernel(col, gy, kernel_shape):
+    """Gradient of conv2d w.r.t. the kernel, given the im2col matrix of x."""
+    n, co, h_out, w_out = gy.shape
     gy2d = gy.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, co)
     return (gy2d.T @ col).reshape(kernel_shape)
 
@@ -115,13 +111,11 @@ class Conv2D:
 
     def forward(self, x):
         self._in_shape = x.shape
-        col, h_out, w_out = _im2col(x, 3, 3, 1, 1)
-        self._col = col
-        out = col @ self.W.reshape(self.W.shape[0], -1).T
-        return out.reshape(x.shape[0], h_out, w_out, -1).transpose(0, 3, 1, 2) + self.b[None, :, None, None]
+        out, self._col = conv2d(x, self.W)
+        return out + self.b[None, :, None, None]
 
     def backward(self, gy, grads):
-        grads[self.name + ".W"] = conv2d_grad_kernel(None, gy, self.W.shape, col=self._col)
+        grads[self.name + ".W"] = conv2d_grad_kernel(self._col, gy, self.W.shape)
         grads[self.name + ".b"] = gy.sum(axis=(0, 2, 3))
         return conv2d_grad_input(gy, self.W, self._in_shape[2:])
 
@@ -149,9 +143,11 @@ class ConvTranspose2D:
         return y + self.b[None, :, None, None]
 
     def backward(self, gy, grads):
-        grads[self.name + ".W"] = conv2d_grad_kernel(gy, self._z, self.W.shape, stride=2, pad=1)
+        # The adjoint convolution unfolds gy once for both gradients.
+        gz, col = conv2d(gy, self.W, stride=2, pad=1)
+        grads[self.name + ".W"] = conv2d_grad_kernel(col, self._z, self.W.shape)
         grads[self.name + ".b"] = gy.sum(axis=(0, 2, 3))
-        return conv2d(gy, self.W, stride=2, pad=1)
+        return gz
 
     def params(self):
         return {self.name + ".W": self.W, self.name + ".b": self.b}
@@ -210,9 +206,6 @@ class Dense:
 # ---------------------------------------------------------------------------
 # Network
 # ---------------------------------------------------------------------------
-
-NETWORK_FORMAT_VERSION = 1
-
 
 class AENetwork:
     """Convolutional autoencoder for f x s bar patches."""
@@ -325,31 +318,11 @@ def init_network(n_bins, subdivision, d_c, seed=42):
     return AENetwork(n_bins, subdivision, d_c, seed=seed)
 
 
-def forward(net, x):
-    """Encode and reconstruct a single f x s bar: returns (z, x_hat)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.n_bins, net.subdivision):
-        raise ValueError(f"expected a {net.n_bins}x{net.subdivision} bar, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input bar contains non-finite values")
-    z, x_hat = net.forward_batch(x[None])
-    return z[0], x_hat[0]
-
-
 def mse_loss(x, x_hat):
     """Mean squared error over all entries."""
     x = np.asarray(x, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
     return float(np.mean((x - x_hat) ** 2))
-
-
-def backward(net, x):
-    """Analytic gradients of the reconstruction MSE for one bar (or a batch)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        x = x[None]
-    grads, _ = net.backward_batch(x)
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -479,22 +452,6 @@ def train_single_song(bars, cfg):
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-
-def save_network(net, path):
-    """Versioned binary blob (npz) with architecture metadata and weights."""
-    meta = np.array([NETWORK_FORMAT_VERSION, net.n_bins, net.subdivision, net.d_c, net.seed], dtype=np.int64)
-    np.savez(path, __meta__=meta, **net.parameters())
-
-
-def load_network(path):
-    data = np.load(path)
-    meta = data["__meta__"]
-    if meta[0] != NETWORK_FORMAT_VERSION:
-        raise ValueError(f"unsupported network blob version {meta[0]}")
-    net = AENetwork(int(meta[1]), int(meta[2]), int(meta[3]), seed=int(meta[4]))
-    net.set_state({k: data[k] for k in data.files if k != "__meta__"})
-    return net
 
 
 def write_loss_trace_csv(path, trace):

@@ -1,6 +1,7 @@
 """Command-line interface: barseg features|segment|eval|batch."""
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -22,13 +23,24 @@ def _load_config_file(path):
     return values
 
 
-_INT_KEYS = {"d_c", "subdivision", "max_segment", "seed", "n_fft", "hop", "ae_max_epochs", "ae_batch_size"}
+def _coerce_config(values, source):
+    """Convert option values to the types of their PipelineConfig fields."""
+    types = {f.name: f.type for f in dataclasses.fields(pipeline.PipelineConfig)}
+    out = {}
+    for key, value in values.items():
+        if key not in types:
+            raise ValueError(f"{source}: unknown config key {key!r}")
+        if types[key] is tuple:
+            out[key] = tuple(float(t) for t in value.split(","))
+        else:
+            out[key] = types[key](value)
+    return out
 
 
 def _build_pipeline_config(args):
     cfg = {}
     if getattr(args, "config", None):
-        cfg.update(_load_config_file(args.config))
+        cfg.update(_coerce_config(_load_config_file(args.config), args.config))
     overrides = {
         "feature": args.feature,
         "compressor": getattr(args, "compressor", None),
@@ -41,15 +53,9 @@ def _build_pipeline_config(args):
         "annotations_path": getattr(args, "annotations", None),
         "output_dir": getattr(args, "out", None),
         "ae_max_epochs": getattr(args, "ae_max_epochs", None),
+        "tolerances": getattr(args, "tolerances", None) or None,
     }
-    if getattr(args, "tolerances", None):
-        cfg["tolerances"] = args.tolerances
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
-    for key in _INT_KEYS:
-        if key in cfg:
-            cfg[key] = int(cfg[key])
-    if isinstance(cfg.get("tolerances"), str):
-        cfg["tolerances"] = tuple(float(t) for t in cfg["tolerances"].split(","))
+    cfg.update(_coerce_config({k: v for k, v in overrides.items() if v is not None}, "command line"))
     return pipeline.PipelineConfig(**cfg)
 
 
@@ -93,17 +99,15 @@ def _print_result(result):
 
 def cmd_segment(args):
     sweep = [int(v) for v in args.dc_sweep.split(",")] if args.dc_sweep else [None]
-    status = 0
     for d_c in sweep:
         if d_c is not None:
             args.dc = d_c
         cfg = _build_pipeline_config(args)
         if d_c is not None and cfg.output_dir:
-            cfg = pipeline.PipelineConfig(**{**cfg.echo(), "tolerances": tuple(cfg.tolerances),
-                                             "output_dir": os.path.join(cfg.output_dir, f"dc{d_c}")})
+            cfg = dataclasses.replace(cfg, output_dir=os.path.join(cfg.output_dir, f"dc{d_c}"))
         result = pipeline.run_song(cfg)
         _print_result(result)
-    return status
+    return 0
 
 
 def cmd_eval(args):

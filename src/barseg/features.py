@@ -14,15 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 import scipy.io.wavfile
-import scipy.signal
 
-DEFAULT_SR = 44100
 DEFAULT_N_FFT = 2048
 DEFAULT_HOP = 32
 LOG_FLOOR = 1e-10
 
 FEATURE_KINDS = ("stft_power", "chroma", "mel", "lms", "nnlms", "mfcc")
-NONNEGATIVE_KINDS = ("stft_power", "chroma", "mel", "nnlms")
 
 
 @dataclass
@@ -40,10 +37,6 @@ class AudioSignal:
             raise ValueError("AudioSignal expects a 1-D sample array")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("audio contains non-finite samples")
-
-    @property
-    def duration(self):
-        return len(self.samples) / self.sample_rate
 
 
 @dataclass
@@ -69,10 +62,6 @@ class Spectrogram:
     @property
     def n_frames(self):
         return self.values.shape[1]
-
-    def frame_times(self):
-        """Center time in seconds of every frame."""
-        return np.arange(self.n_frames) * self.hop / self.sample_rate
 
 
 def load_wav(path):
@@ -103,6 +92,11 @@ def load_wav(path):
     return AudioSignal(samples=samples, sample_rate=int(sr))
 
 
+def _hann_window(n_fft):
+    """Periodic Hann window, equal to scipy.signal.get_window("hann", n_fft)."""
+    return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n_fft + 1)[:-1])
+
+
 def stft_power(signal, n_fft=DEFAULT_N_FFT, hop=DEFAULT_HOP):
     """Power STFT: Hann window, centered frames with reflect padding.
 
@@ -118,7 +112,7 @@ def stft_power(signal, n_fft=DEFAULT_N_FFT, hop=DEFAULT_HOP):
         raise ValueError(f"signal too short for centered frames (need > {pad} samples)")
     padded = np.pad(x, pad, mode="reflect")
     n_frames = 1 + len(x) // hop
-    window = scipy.signal.get_window("hann", n_fft, fftbins=True)
+    window = _hann_window(n_fft)
 
     out = np.empty((n_fft // 2 + 1, n_frames), dtype=np.float64)
     # FFT in chunks to bound peak memory on long signals.

@@ -5,6 +5,7 @@ The BSEG format is a minimal binary matrix container: the magic bytes
 little-endian float64 data.
 """
 
+import json
 import struct
 
 import numpy as np
@@ -77,58 +78,24 @@ def read_pgm(path):
     return pixels.reshape(height, width).copy()
 
 
-def _json_emit(obj, out, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format(float(obj), ".17g"))
-    elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            out.append(pad_in + '"' + str(k) + '": ')
-            _json_emit(v, out, indent, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(items):
-            out.append(pad_in)
-            _json_emit(v, out, indent, level + 1)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r} to JSON")
+def _json_default(obj):
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj)!r} to JSON")
 
 
-def dumps_json(obj, indent=2):
-    """Serialize to JSON with floats pinned to 17 significant digits.
+def dumps_json(obj):
+    """Serialize to indented JSON with shortest round-trip float reprs.
 
-    Pinning the float format keeps result files byte-identical across runs
-    of the same pipeline configuration.
+    `repr` floats parse back to the same values, so result files stay
+    byte-identical across runs of the same pipeline configuration.
+    NaN and infinities raise ValueError rather than writing invalid JSON.
     """
-    out = []
-    _json_emit(obj, out, indent, 0)
-    out.append("\n")
-    return "".join(out)
+    return json.dumps(obj, indent=2, allow_nan=False, default=_json_default) + "\n"
 
 
 def write_json(path, obj):
+    """Write `obj` as JSON; a value that cannot be serialized writes no file."""
+    text = dumps_json(obj)
     with open(path, "w") as fh:
-        fh.write(dumps_json(obj))
+        fh.write(text)

@@ -9,7 +9,7 @@ directory (JSON result, boundary text, autosimilarity PGM).
 import os
 import time
 import traceback
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -192,17 +192,14 @@ def run_batch(dataset_dir, cfg):
     results, failures = [], {}
     for song in song_dirs:
         base = os.path.join(dataset_dir, song)
-        song_cfg = PipelineConfig(**{
-            **cfg.echo(),
-            "tolerances": tuple(cfg.tolerances),
-            "audio_path": os.path.join(base, "audio.wav"),
-            "downbeats_path": os.path.join(base, "downbeats.txt"),
-            "annotations_path": (
-                os.path.join(base, "annotations.txt")
-                if os.path.exists(os.path.join(base, "annotations.txt")) else ""
-            ),
-            "output_dir": os.path.join(cfg.output_dir, song) if cfg.output_dir else "",
-        })
+        annotations = os.path.join(base, "annotations.txt")
+        song_cfg = replace(
+            cfg,
+            audio_path=os.path.join(base, "audio.wav"),
+            downbeats_path=os.path.join(base, "downbeats.txt"),
+            annotations_path=annotations if os.path.exists(annotations) else "",
+            output_dir=os.path.join(cfg.output_dir, song) if cfg.output_dir else "",
+        )
         try:
             results.append(run_song(song_cfg, song_id=song))
         except Exception as exc:
@@ -238,8 +235,3 @@ def run_batch(dataset_dir, cfg):
                     f"{format(row['f_measure'], '.17g')},{row['n_songs']}\n"
                 )
     return aggregate, results, failures
-
-
-def render_autosimilarity(A, path):
-    """Export an autosimilarity matrix as an 8-bit PGM image."""
-    matio.write_pgm(path, A)

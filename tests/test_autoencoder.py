@@ -36,15 +36,15 @@ class TestInitNetwork:
     def test_frequency_padding(self):
         net = ae.init_network(10, 8, 4)
         assert net.f_pad == 12
-        z, x_hat = ae.forward(net, np.random.default_rng(0).random((10, 8)))
-        assert x_hat.shape == (10, 8)
+        z, x_hat = net.forward_batch(np.random.default_rng(0).random((1, 10, 8)))
+        assert x_hat.shape == (1, 10, 8)
 
 
 class TestForward:
     def test_zero_weights_zero_output(self):
         net = ae.init_network(8, 8, 3, seed=1)
         net.set_state({k: np.zeros_like(v) for k, v in net.parameters().items()})
-        z, x_hat = ae.forward(net, np.zeros((8, 8)))
+        z, x_hat = net.forward_batch(np.zeros((1, 8, 8)))
         assert np.all(z == 0.0)
         assert np.all(x_hat == 0.0)
 
@@ -52,13 +52,13 @@ class TestForward:
         rng = np.random.default_rng(2)
         net = ae.init_network(12, 16, 4, seed=3)
         for _ in range(5):
-            _, x_hat = ae.forward(net, rng.standard_normal((12, 16)))
+            _, x_hat = net.forward_batch(rng.standard_normal((1, 12, 16)))
             assert x_hat.min() >= 0.0
 
     def test_latent_dimension(self):
         net = ae.init_network(12, 16, 5, seed=4)
-        z, _ = ae.forward(net, np.ones((12, 16)))
-        assert z.shape == (5,)
+        z, _ = net.forward_batch(np.ones((1, 12, 16)))
+        assert z.shape == (1, 5)
 
     def test_encoder_positive_homogeneity(self):
         # conv + ReLU + maxpool is positively homogeneous when biases are 0
@@ -74,11 +74,6 @@ class TestForward:
         h2 = net.pool2.forward(net.relu2.forward(net.conv2.forward(
             net.pool1.forward(net.relu1.forward(net.conv1.forward(net._pad_input(2 * x[:, None])))))))
         assert np.allclose(h2, 2 * h1, rtol=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        net = ae.init_network(8, 8, 3)
-        with pytest.raises(ValueError):
-            ae.forward(net, np.zeros((9, 8)))
 
     def test_encoding_locality(self):
         # encode(bar) depends only on that bar, given fixed parameters.
@@ -105,7 +100,7 @@ class TestMseLoss:
 
 class TestBackward:
     def finite_difference_check(self, net, x, n_samples=100, h=1e-5, seed=0):
-        grads = ae.backward(net, x)
+        grads, _ = net.backward_batch(x[None])
         params = net.parameters()
         rng = np.random.default_rng(seed)
         names = list(params)
@@ -116,11 +111,11 @@ class TestBackward:
             idx = int(rng.integers(flat.size))
             orig = flat[idx]
             flat[idx] = orig + h
-            _, up = net.forward_batch(x[None] if x.ndim == 2 else x)
-            lp = float(np.mean((up - (x[None] if x.ndim == 2 else x)) ** 2))
+            _, up = net.forward_batch(x[None])
+            lp = float(np.mean((up - x[None]) ** 2))
             flat[idx] = orig - h
-            _, dn = net.forward_batch(x[None] if x.ndim == 2 else x)
-            lm = float(np.mean((dn - (x[None] if x.ndim == 2 else x)) ** 2))
+            _, dn = net.forward_batch(x[None])
+            lm = float(np.mean((dn - x[None]) ** 2))
             flat[idx] = orig
             fd = (lp - lm) / (2 * h)
             g = grads[name].ravel()[idx]
@@ -137,7 +132,7 @@ class TestBackward:
         # Per-tensor check so no layer type escapes coverage.
         net = ae.init_network(4, 8, 2, seed=2)
         x = np.random.default_rng(3).random((4, 8))
-        grads = ae.backward(net, x)
+        grads, _ = net.backward_batch(x[None])
         params = net.parameters()
         h = 1e-5
         rng = np.random.default_rng(4)
@@ -161,7 +156,7 @@ class TestBackward:
         # so every gradient vanishes.
         net = ae.init_network(4, 8, 2, seed=5)
         net.set_state({k: np.zeros_like(v) for k, v in net.parameters().items()})
-        grads = ae.backward(net, np.zeros((4, 8)))
+        grads, _ = net.backward_batch(np.zeros((1, 4, 8)))
         for name, g in grads.items():
             assert np.all(g == 0.0), name
 
@@ -172,7 +167,7 @@ class TestBackward:
         state = net.get_state()
         state["deconv1.b"] = np.full_like(state["deconv1.b"], -1e6)
         net.set_state(state)
-        grads = ae.backward(net, np.random.default_rng(7).random((4, 8)))
+        grads, _ = net.backward_batch(np.random.default_rng(7).random((1, 4, 8)))
         assert np.all(grads["deconv1.W"] == 0.0)
         assert np.all(grads["fc_dec.W"] == 0.0)
 
@@ -265,16 +260,6 @@ class TestTraining:
 
 
 class TestSerialization:
-    def test_network_roundtrip(self, tmp_path):
-        net = ae.init_network(12, 16, 4, seed=10)
-        x = np.random.default_rng(11).random((12, 16))
-        z_before, _ = ae.forward(net, x)
-        path = tmp_path / "net.npz"
-        ae.save_network(net, path)
-        loaded = ae.load_network(path)
-        z_after, _ = ae.forward(loaded, x)
-        assert np.array_equal(z_before, z_after)
-
     def test_loss_trace_csv(self, tmp_path):
         path = tmp_path / "trace.csv"
         ae.write_loss_trace_csv(path, [0.5, 0.25])

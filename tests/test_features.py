@@ -1,7 +1,10 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.io.wavfile
-import scipy.signal
 
 from barseg import features
 
@@ -81,6 +84,8 @@ class TestStftPower:
         assert spec.n_frames == 1 + 10000 // 32
 
     def test_parseval_on_white_noise(self):
+        import scipy.signal
+
         # Oracle: windowed time-domain frame energy computed directly.
         rng = np.random.default_rng(7)
         x = rng.standard_normal(20000)
@@ -109,6 +114,21 @@ class TestStftPower:
     def test_empty_signal_rejected(self):
         with pytest.raises(ValueError):
             features.stft_power(features.AudioSignal(np.zeros(0), 44100))
+
+    @pytest.mark.parametrize("n_fft", [512, 2048, 4096])
+    def test_hann_window_matches_scipy(self, n_fft):
+        import scipy.signal
+
+        expected = scipy.signal.get_window("hann", n_fft, fftbins=True)
+        assert np.array_equal(features._hann_window(n_fft), expected)
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        # scipy.signal costs most of the package import time; the
+        # window is built directly so `import barseg` stays cheap.
+        src = os.path.dirname(os.path.dirname(features.__file__))
+        code = "import sys, barseg; sys.exit('scipy.signal' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestMel:

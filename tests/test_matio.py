@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -57,26 +59,52 @@ class TestPgm:
 
 
 class TestJson:
-    def test_float_17_digits(self):
-        text = matio.dumps_json({"x": 1.0 / 3.0})
-        assert "0.33333333333333331" in text
+    def test_floats_round_trip_exactly(self):
+        values = [1.0 / 3.0, 0.1, 1e-300, 5e-324, 3.0]
+        back = json.loads(matio.dumps_json({"x": values}))["x"]
+        assert back == values
+        assert all(type(v) is float for v in back)
 
     def test_deterministic_bytes(self):
         obj = {"a": [1, 2.5, None, True], "b": {"c": "hi"}}
         assert matio.dumps_json(obj) == matio.dumps_json(obj)
 
     def test_parses_back(self):
-        import json
-
         obj = {"a": [1, 2.5, None, True, "x\"y"], "b": {}, "c": []}
         back = json.loads(matio.dumps_json(obj))
         assert back == obj
 
+    def test_layout(self):
+        text = matio.dumps_json({"a": [1, 0.5], "b": {}, "c": []})
+        assert text == '{\n  "a": [\n    1,\n    0.5\n  ],\n  "b": {},\n  "c": []\n}\n'
+
     def test_numpy_scalars(self):
         text = matio.dumps_json({"i": np.int64(3), "f": np.float64(0.5), "v": np.arange(2)})
-        import json
-
         assert json.loads(text) == {"i": 3, "f": 0.5, "v": [0, 1]}
+
+    @pytest.mark.parametrize("text", ["tab\there", "new\nline"])
+    def test_control_characters_round_trip(self, text):
+        obj = {text: text, "list": [text]}
+        assert json.loads(matio.dumps_json(obj)) == obj
+
+    def test_non_ascii_song_id_round_trips(self):
+        obj = {"song_id": "Für Elise – 第1楽章"}
+        assert json.loads(matio.dumps_json(obj)) == obj
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, np.float64("nan"), np.array([1.0, np.inf])])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError):
+            matio.dumps_json({"x": value})
+
+    def test_non_finite_leaves_no_file(self, tmp_path):
+        path = tmp_path / "r.json"
+        with pytest.raises(ValueError):
+            matio.write_json(path, {"x": float("nan")})
+        assert not path.exists()
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(TypeError):
+            matio.dumps_json({"x": object()})
 
 
 class TestCsv:

@@ -231,6 +231,20 @@ class TestCli:
         assert loaded["config"]["feature"] == "nnlms"
         assert loaded["config"]["d_c"] == 4
 
+    def test_config_file_unknown_key_rejected(self, song_dir, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("d_c = 4\nbogus = 1\n")
+        rc = cli.main([
+            "segment", str(song_dir / "audio.wav"),
+            "--downbeats", str(song_dir / "downbeats.txt"),
+            "--config", str(config), "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("barseg: error: ")
+        assert str(config) in err and "'bogus'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_eval_subcommand(self, song_dir, tmp_path, capsys):
         ann = str(song_dir / "annotations.txt")
         rc = cli.main(["eval", ann, ann, "--out", str(tmp_path)])
