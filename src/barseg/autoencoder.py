@@ -1,16 +1,16 @@
 """Single-song convolutional autoencoder, trained per song on its bars.
 
 The network is small enough that forward passes, analytic backprop, and
-Adam are written directly on numpy arrays (float64 throughout): encoder
-conv(1->4)/pool, conv(4->16)/pool, linear latent layer of size d_c;
-decoder mirrors it with a dense layer and two stride-2 transposed
-convolutions, ReLU everywhere except the latent layer. Training follows
-a plateau learning-rate schedule with early stopping, and the embedding
-is read out with the best-loss parameters.
+Adam are written directly on numpy arrays (float64 throughout). It is two
+layer lists, run in order and in reverse for backprop: the encoder is
+conv(1->4), ReLU, pool, conv(4->16), ReLU, pool, flatten and a linear
+latent layer of size d_c; the decoder is a dense layer, ReLU, a reshape to
+16 channels and two stride-2 transposed convolutions, each with a ReLU.
+Training follows a plateau learning-rate schedule with early stopping,
+and the embedding is read out with the best-loss parameters.
 """
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,16 +98,33 @@ def conv2d_grad_kernel(col, gy, kernel_shape):
 
 
 # ---------------------------------------------------------------------------
-# Layers
+# Layers: backward(gy, grads) stores parameter gradients, returns the input's.
 # ---------------------------------------------------------------------------
 
 
-class Conv2D:
-    def __init__(self, c_in, c_out, rng, name):
+class Layer:
+    """Base of every layer; a layer without parameters reports none."""
+
+    def params(self):
+        return {}
+
+
+class ParamLayer(Layer):
+    """A layer with He-uniform weights W of fan-in `fan_in` and zero biases."""
+
+    def __init__(self, name, rng, shape, fan_in, n_out):
         self.name = name
-        bound = np.sqrt(6.0 / (c_in * 9))
-        self.W = rng.uniform(-bound, bound, size=(c_out, c_in, 3, 3))
-        self.b = np.zeros(c_out)
+        bound = np.sqrt(6.0 / fan_in)
+        self.W = rng.uniform(-bound, bound, size=shape)
+        self.b = np.zeros(n_out)
+
+    def params(self):
+        return {self.name + ".W": self.W, self.name + ".b": self.b}
+
+
+class Conv2D(ParamLayer):
+    def __init__(self, c_in, c_out, rng, name):
+        super().__init__(name, rng, (c_out, c_in, 3, 3), c_in * 9, c_out)
 
     def forward(self, x):
         self._in_shape = x.shape
@@ -119,11 +136,8 @@ class Conv2D:
         grads[self.name + ".b"] = gy.sum(axis=(0, 2, 3))
         return conv2d_grad_input(gy, self.W, self._in_shape[2:])
 
-    def params(self):
-        return {self.name + ".W": self.W, self.name + ".b": self.b}
 
-
-class ConvTranspose2D:
+class ConvTranspose2D(ParamLayer):
     """Stride-2 transposed 3x3 convolution doubling both spatial dims.
 
     Stored as the kernel of its adjoint convolution (c_in, c_out, 3, 3),
@@ -131,10 +145,7 @@ class ConvTranspose2D:
     """
 
     def __init__(self, c_in, c_out, rng, name):
-        self.name = name
-        bound = np.sqrt(6.0 / (c_in * 9))
-        self.W = rng.uniform(-bound, bound, size=(c_in, c_out, 3, 3))
-        self.b = np.zeros(c_out)
+        super().__init__(name, rng, (c_in, c_out, 3, 3), c_in * 9, c_out)
 
     def forward(self, z):
         self._z = z
@@ -149,11 +160,8 @@ class ConvTranspose2D:
         grads[self.name + ".b"] = gy.sum(axis=(0, 2, 3))
         return gz
 
-    def params(self):
-        return {self.name + ".W": self.W, self.name + ".b": self.b}
 
-
-class ReLU:
+class ReLU(Layer):
     def forward(self, x):
         self._mask = x > 0
         return np.where(self._mask, x, 0.0)
@@ -161,11 +169,8 @@ class ReLU:
     def backward(self, gy, grads):
         return np.where(self._mask, gy, 0.0)
 
-    def params(self):
-        return {}
 
-
-class MaxPool2x2:
+class MaxPool2x2(Layer):
     def forward(self, x):
         n, c, h, w = x.shape
         blocks = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
@@ -179,16 +184,10 @@ class MaxPool2x2:
         np.put_along_axis(gblocks, self._argmax[..., None], gy[..., None], axis=-1)
         return gblocks.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
 
-    def params(self):
-        return {}
 
-
-class Dense:
+class Dense(ParamLayer):
     def __init__(self, n_in, n_out, rng, name):
-        self.name = name
-        bound = np.sqrt(6.0 / n_in)
-        self.W = rng.uniform(-bound, bound, size=(n_out, n_in))
-        self.b = np.zeros(n_out)
+        super().__init__(name, rng, (n_out, n_in), n_in, n_out)
 
     def forward(self, x):
         self._x = x
@@ -199,8 +198,19 @@ class Dense:
         grads[self.name + ".b"] = gy.sum(axis=0)
         return gy @ self.W
 
-    def params(self):
-        return {self.name + ".W": self.W, self.name + ".b": self.b}
+
+class Reshape(Layer):
+    """Reshapes each batch item to `shape`; (-1,) flattens it."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def forward(self, x):
+        self._in_shape = x.shape
+        return x.reshape((x.shape[0],) + self.shape)
+
+    def backward(self, gy, grads):
+        return gy.reshape(self._in_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -215,38 +225,29 @@ class AENetwork:
             raise ValueError(f"subdivision must be divisible by 4, got {subdivision}")
         self.n_bins = n_bins
         self.subdivision = subdivision
-        self.d_c = d_c
-        self.seed = seed
         # Pad the frequency axis up to a multiple of 4 with zero rows.
         self.f_pad = n_bins if n_bins % 4 == 0 else n_bins + (4 - n_bins % 4)
         self.flat_size = 16 * (self.f_pad // 4) * (subdivision // 4)
         if d_c >= self.flat_size:
             raise ValueError(f"d_c={d_c} is not a compression of the {self.flat_size}-dim bottleneck input")
         rng = np.random.default_rng(seed)
-        self.conv1 = Conv2D(1, 4, rng, "conv1")
-        self.relu1 = ReLU()
-        self.pool1 = MaxPool2x2()
-        self.conv2 = Conv2D(4, 16, rng, "conv2")
-        self.relu2 = ReLU()
-        self.pool2 = MaxPool2x2()
-        self.fc_enc = Dense(self.flat_size, d_c, rng, "fc_enc")
-        self.fc_dec = Dense(d_c, self.flat_size, rng, "fc_dec")
-        self.relu_dec = ReLU()
-        self.deconv1 = ConvTranspose2D(16, 4, rng, "deconv1")
-        self.relu3 = ReLU()
-        self.deconv2 = ConvTranspose2D(4, 1, rng, "deconv2")
-        self.relu_out = ReLU()
-        self._layers = [
-            self.conv1, self.relu1, self.pool1, self.conv2, self.relu2, self.pool2,
-            self.fc_enc, self.fc_dec, self.relu_dec, self.deconv1, self.relu3,
-            self.deconv2, self.relu_out,
+        self.encoder = [
+            Conv2D(1, 4, rng, "conv1"), ReLU(), MaxPool2x2(),
+            Conv2D(4, 16, rng, "conv2"), ReLU(), MaxPool2x2(),
+            Reshape((-1,)), Dense(self.flat_size, d_c, rng, "fc_enc"),
+        ]
+        self.decoder = [
+            Dense(d_c, self.flat_size, rng, "fc_dec"), ReLU(),
+            Reshape((16, self.f_pad // 4, subdivision // 4)),
+            ConvTranspose2D(16, 4, rng, "deconv1"), ReLU(),
+            ConvTranspose2D(4, 1, rng, "deconv2"), ReLU(),
         ]
 
     # -- parameter plumbing --------------------------------------------------
 
     def parameters(self):
         out = {}
-        for layer in self._layers:
+        for layer in self.encoder + self.decoder:
             out.update(layer.params())
         return out
 
@@ -266,20 +267,16 @@ class AENetwork:
 
     def encode_batch(self, x):
         """x: (N, f, s) -> (N, d_c). Latent layer is linear by design."""
-        x = self._pad_input(np.asarray(x, dtype=np.float64)[:, None, :, :])
-        h = self.pool1.forward(self.relu1.forward(self.conv1.forward(x)))
-        h = self.pool2.forward(self.relu2.forward(self.conv2.forward(h)))
-        self._pre_flat_shape = h.shape
-        return self.fc_enc.forward(h.reshape(h.shape[0], -1))
+        h = self._pad_input(np.asarray(x, dtype=np.float64)[:, None, :, :])
+        for layer in self.encoder:
+            h = layer.forward(h)
+        return h
 
     def decode_batch(self, z):
         """(N, d_c) -> (N, f, s), nonnegative thanks to the final ReLU."""
-        n = z.shape[0]
-        h = self.relu_dec.forward(self.fc_dec.forward(z))
-        h = h.reshape(n, 16, self.f_pad // 4, self.subdivision // 4)
-        h = self.relu3.forward(self.deconv1.forward(h))
-        h = self.relu_out.forward(self.deconv2.forward(h))
-        return h[:, 0, : self.n_bins, :]
+        for layer in self.decoder:
+            z = layer.forward(z)
+        return z[:, 0, : self.n_bins, :]
 
     def forward_batch(self, x):
         z = self.encode_batch(x)
@@ -295,21 +292,8 @@ class AENetwork:
         # Undo the output crop: padded rows never contribute to the loss.
         g = np.zeros((n_batch, 1, self.f_pad, self.subdivision))
         g[:, 0, : self.n_bins, :] = gy
-        g = self.relu_out.backward(g, grads)
-        g = self.deconv2.backward(g, grads)
-        g = self.relu3.backward(g, grads)
-        g = self.deconv1.backward(g, grads)
-        g = g.reshape(n_batch, -1)
-        g = self.relu_dec.backward(g, grads)
-        g = self.fc_dec.backward(g, grads)
-        g = self.fc_enc.backward(g, grads)
-        g = g.reshape(self._pre_flat_shape)
-        g = self.pool2.backward(g, grads)
-        g = self.relu2.backward(g, grads)
-        g = self.conv2.backward(g, grads)
-        g = self.pool1.backward(g, grads)
-        g = self.relu1.backward(g, grads)
-        self.conv1.backward(g, grads)
+        for layer in reversed(self.encoder + self.decoder):
+            g = layer.backward(g, grads)
         return grads, float(np.mean((x_hat - x) ** 2))
 
 
@@ -331,19 +315,16 @@ def mse_loss(x, x_hat):
 
 
 class AdamOptimizer:
-    def __init__(self, param_names, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = {k: None for k in param_names}
-        self.v = {k: None for k in param_names}
+        self.m = {k: np.zeros_like(p) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p) for k, p in params.items()}
         self.t = 0
 
     def step(self, params, grads, lr):
         self.t += 1
         for k, p in params.items():
             g = grads[k]
-            if self.m[k] is None:
-                self.m[k] = np.zeros_like(p)
-                self.v[k] = np.zeros_like(p)
             self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
             self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
             m_hat = self.m[k] / (1 - self.beta1**self.t)
@@ -417,7 +398,7 @@ def train_single_song(bars, cfg):
     b, f, s = bars.shape
     net = init_network(f, s, cfg.d_c, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed)
-    optimizer = AdamOptimizer(net.parameters().keys())
+    optimizer = AdamOptimizer(net.parameters())
     schedule = PlateauSchedule(cfg.lr0, cfg.lr_factor, cfg.plateau_patience, cfg.lr_min, cfg.early_stop_patience)
 
     best_state = net.get_state()

@@ -7,6 +7,8 @@ import sys
 
 from . import evaluate, features, matio, pipeline
 
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(pipeline.PipelineConfig)}
+
 
 def _load_config_file(path):
     """Read a flat key=value config file (# comments and blanks ignored)."""
@@ -25,15 +27,17 @@ def _load_config_file(path):
 
 def _coerce_config(values, source):
     """Convert option values to the types of their PipelineConfig fields."""
-    types = {f.name: f.type for f in dataclasses.fields(pipeline.PipelineConfig)}
     out = {}
     for key, value in values.items():
-        if key not in types:
+        if key not in _FIELD_TYPES:
             raise ValueError(f"{source}: unknown config key {key!r}")
-        if types[key] is tuple:
-            out[key] = tuple(float(t) for t in value.split(","))
-        else:
-            out[key] = types[key](value)
+        try:
+            if _FIELD_TYPES[key] is tuple:
+                out[key] = tuple(float(t) for t in value.split(","))
+            else:
+                out[key] = _FIELD_TYPES[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {key}: {exc}") from exc
     return out
 
 
@@ -41,32 +45,21 @@ def _build_pipeline_config(args):
     cfg = {}
     if getattr(args, "config", None):
         cfg.update(_coerce_config(_load_config_file(args.config), args.config))
-    overrides = {
-        "feature": args.feature,
-        "compressor": getattr(args, "compressor", None),
-        "d_c": getattr(args, "dc", None),
-        "subdivision": args.subdivision,
-        "max_segment": getattr(args, "max_segment", None),
-        "seed": args.seed,
-        "audio_path": getattr(args, "audio", None),
-        "downbeats_path": getattr(args, "downbeats", None),
-        "annotations_path": getattr(args, "annotations", None),
-        "output_dir": getattr(args, "out", None),
-        "ae_max_epochs": getattr(args, "ae_max_epochs", None),
-        "tolerances": getattr(args, "tolerances", None) or None,
-    }
-    cfg.update(_coerce_config({k: v for k, v in overrides.items() if v is not None}, "command line"))
+    # A flag given as "" counts as not given, so --tolerances "" keeps the default.
+    flags = {k: v for k, v in vars(args).items() if k in _FIELD_TYPES and v not in (None, "")}
+    cfg.update(_coerce_config(flags, "command line"))
     return pipeline.PipelineConfig(**cfg)
 
 
 def _add_common(parser, with_compressor=True):
+    parser.add_argument("--out", dest="output_dir", metavar="OUT", default=None)
     parser.add_argument("--config", help="key=value config file; flags override it")
     parser.add_argument("--feature", default=None, choices=["chroma", "mel", "lms", "nnlms", "mfcc"])
     parser.add_argument("--subdivision", type=int, default=None, help="frames per bar (default 96)")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 42)")
     if with_compressor:
         parser.add_argument("--compressor", default=None, choices=list(pipeline.COMPRESSORS))
-        parser.add_argument("--dc", type=int, default=None, help="latent dimension")
+        parser.add_argument("--dc", dest="d_c", metavar="DC", type=int, default=None, help="latent dimension")
         parser.add_argument("--dc-sweep", dest="dc_sweep", default=None,
                             help="comma-separated latent dimensions, one run per value")
         parser.add_argument("--max-segment", dest="max_segment", type=int, default=None)
@@ -101,7 +94,7 @@ def cmd_segment(args):
     sweep = [int(v) for v in args.dc_sweep.split(",")] if args.dc_sweep else [None]
     for d_c in sweep:
         if d_c is not None:
-            args.dc = d_c
+            args.d_c = d_c
         cfg = _build_pipeline_config(args)
         if d_c is not None and cfg.output_dir:
             cfg = dataclasses.replace(cfg, output_dir=os.path.join(cfg.output_dir, f"dc{d_c}"))
@@ -113,7 +106,7 @@ def cmd_segment(args):
 def cmd_eval(args):
     est = evaluate.load_annotations(args.estimated)
     ref = evaluate.load_annotations(args.reference)
-    tolerances = tuple(float(t) for t in (args.tolerances or "0.5,3.0").split(","))
+    tolerances = _build_pipeline_config(args).tolerances
     report = evaluate.evaluate_boundaries(est, ref, tolerances)
     text = matio.dumps_json(report.to_dict())
     if args.out:
@@ -140,16 +133,14 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("features", help="extract a time-frequency feature from audio")
-    p.add_argument("audio")
-    p.add_argument("--out", default=None)
+    p.add_argument("audio_path", metavar="audio")
     _add_common(p, with_compressor=False)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("segment", help="segment one song")
-    p.add_argument("audio")
-    p.add_argument("--downbeats", required=True)
-    p.add_argument("--annotations", default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("audio_path", metavar="audio")
+    p.add_argument("--downbeats", dest="downbeats_path", metavar="DOWNBEATS", required=True)
+    p.add_argument("--annotations", dest="annotations_path", metavar="ANNOTATIONS", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_segment)
 
@@ -162,7 +153,6 @@ def main(argv=None):
 
     p = sub.add_parser("batch", help="run a dataset directory of songs")
     p.add_argument("dataset")
-    p.add_argument("--out", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_batch)
 

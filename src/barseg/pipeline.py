@@ -6,6 +6,7 @@ optional hit-rate evaluation, with every artifact written to the output
 directory (JSON result, boundary text, autosimilarity PGM).
 """
 
+import contextlib
 import os
 import time
 import traceback
@@ -80,7 +81,6 @@ class StageError(RuntimeError):
     def __init__(self, stage, cause):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
-        self.cause = cause
 
 
 def _compress(tf_matrix, cfg):
@@ -104,68 +104,57 @@ def _compress(tf_matrix, cfg):
     return autoencoder.train_single_song(patches, ae_cfg).embedding
 
 
+@contextlib.contextmanager
+def _stage(name, timings=None):
+    """Time the block into timings[name] and re-raise failures as StageError."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+    if timings is not None:
+        timings[name] = time.perf_counter() - t0
+
+
 def run_song(cfg, song_id=None):
     """Execute the full pipeline for one song and write its artifacts."""
     song_id = song_id or os.path.splitext(os.path.basename(cfg.audio_path))[0]
     timings = {}
-    stage = "load"
-    try:
-        t0 = time.perf_counter()
+    with _stage("load", timings):
         signal = features.load_wav(cfg.audio_path)
         grid = bars.load_downbeats(cfg.downbeats_path)
-        timings["load"] = time.perf_counter() - t0
-
-        stage = "features"
-        t0 = time.perf_counter()
+    with _stage("features", timings):
         spec = features.compute_feature(signal, cfg.feature, n_fft=cfg.n_fft, hop=cfg.hop)
-        timings["features"] = time.perf_counter() - t0
-
-        stage = "barwise_tf"
-        t0 = time.perf_counter()
+    with _stage("barwise_tf", timings):
         tf_matrix = bars.barwise_tf(spec, grid, subdivision=cfg.subdivision)
-        timings["barwise_tf"] = time.perf_counter() - t0
-
-        stage = "compression"
-        t0 = time.perf_counter()
+    with _stage("compression", timings):
         Z = _compress(tf_matrix, cfg)
-        timings["compression"] = time.perf_counter() - t0
-
-        stage = "segmentation"
-        t0 = time.perf_counter()
+    with _stage("segmentation", timings):
         A = segment.cosine_autosimilarity(Z)
         seg = segment.dp_segment(A, max_segment=cfg.max_segment).with_times(grid)
-        timings["segmentation"] = time.perf_counter() - t0
-
-        eval_report = {}
-        if cfg.annotations_path:
-            stage = "evaluation"
-            t0 = time.perf_counter()
+    eval_report = {}
+    if cfg.annotations_path:
+        with _stage("evaluation", timings):
             ref = evaluate.load_annotations(cfg.annotations_path)
             est = evaluate.BoundarySet(seg.boundaries_seconds)
             eval_report = evaluate.evaluate_boundaries(est, ref, cfg.tolerances).to_dict()
-            timings["evaluation"] = time.perf_counter() - t0
-
-        result = SongResult(
-            song_id=song_id,
-            config=cfg.echo(),
-            boundaries_bars=[int(v) for v in seg.boundaries_bars],
-            boundaries_seconds=[float(v) for v in seg.boundaries_seconds],
-            total_score=seg.total_score,
-            timings=timings,
-            eval_report=eval_report,
-        )
-        if cfg.output_dir:
-            stage = "output"
+    result = SongResult(
+        song_id=song_id,
+        config=cfg.echo(),
+        boundaries_bars=[int(v) for v in seg.boundaries_bars],
+        boundaries_seconds=[float(v) for v in seg.boundaries_seconds],
+        total_score=seg.total_score,
+        timings=timings,
+        eval_report=eval_report,
+    )
+    if cfg.output_dir:
+        with _stage("output"):
             os.makedirs(cfg.output_dir, exist_ok=True)
             prefix = os.path.join(cfg.output_dir, song_id)
             matio.write_json(prefix + ".result.json", result.to_dict())
             write_boundary_file(prefix + ".boundaries.txt", seg.boundaries_seconds)
             matio.write_pgm(prefix + ".autosim.pgm", A)
-        return result
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
+    return result
 
 
 def write_boundary_file(path, boundary_seconds):

@@ -8,6 +8,7 @@ even sizes mild, odd sizes expensive); dynamic programming then picks the
 boundary set with the maximal total score.
 """
 
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -124,6 +125,8 @@ def dp_segment(A, max_segment=DEFAULT_MAX_SEGMENT):
 
     best(i) = max over j in [max(0, i - max_segment), i) of
     best(j) + score(j, i); ties go to the larger j (shorter last segment).
+    A degenerate autosimilarity (c_k8_max <= 0, e.g. a silent song) gives
+    one segment with a warning.
     """
     b = A.shape[0]
     if b < 1:
@@ -132,6 +135,9 @@ def dp_segment(A, max_segment=DEFAULT_MAX_SEGMENT):
         # Only one segmentation exists; no scoring needed.
         return Segmentation(np.array([0, 1]), total_score=0.0)
     c_k8_max = compute_ck8max(A)
+    if c_k8_max <= 0:
+        warnings.warn(f"degenerate autosimilarity: c_k8_max={c_k8_max} is not positive; one segment", stacklevel=2)
+        return Segmentation(np.array([0, b]), total_score=0.0)
     best = np.full(b + 1, -np.inf)
     best[0] = 0.0
     prev = np.zeros(b + 1, dtype=np.int64)

@@ -26,8 +26,9 @@ class TestInitNetwork:
             if name.endswith(".b"):
                 assert np.all(p == 0.0)
         # He-uniform: |w| <= sqrt(6/fan_in)
-        assert np.abs(net.conv1.W).max() <= np.sqrt(6.0 / 9)
-        assert np.abs(net.fc_enc.W).max() <= np.sqrt(6.0 / net.flat_size)
+        params = net.parameters()
+        assert np.abs(params["conv1.W"]).max() <= np.sqrt(6.0 / 9)
+        assert np.abs(params["fc_enc.W"]).max() <= np.sqrt(6.0 / net.flat_size)
 
     def test_non_compressing_latent_rejected(self):
         with pytest.raises(ValueError, match="compression"):
@@ -69,10 +70,14 @@ class TestForward:
         state["conv2.W"] = np.abs(state["conv2.W"])
         net.set_state(state)
         x = np.random.default_rng(6).random((1, 8, 8)) + 0.5
-        h1 = net.pool2.forward(net.relu2.forward(net.conv2.forward(
-            net.pool1.forward(net.relu1.forward(net.conv1.forward(net._pad_input(x[:, None])))))))
-        h2 = net.pool2.forward(net.relu2.forward(net.conv2.forward(
-            net.pool1.forward(net.relu1.forward(net.conv1.forward(net._pad_input(2 * x[:, None])))))))
+
+        def conv_stages(h):
+            for layer in net.encoder[:6]:
+                h = layer.forward(h)
+            return h
+
+        h1 = conv_stages(net._pad_input(x[:, None]))
+        h2 = conv_stages(net._pad_input(2 * x[:, None]))
         assert np.allclose(h2, 2 * h1, rtol=1e-12)
 
     def test_encoding_locality(self):

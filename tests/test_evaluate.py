@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barseg import evaluate
 from barseg.bars import BarGrid
@@ -72,6 +74,39 @@ class TestHitRate:
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ValueError):
             evaluate.hit_rate(np.array([1.0]), np.array([1.0]), 0.0)
+
+
+def brute_force_matching(est, ref, tol):
+    """Size of a maximum one-to-one matching, by trying every assignment."""
+
+    def best(i, used):
+        if i == len(est):
+            return 0
+        options = [best(i + 1, used)]
+        for j, r in enumerate(ref):
+            if j not in used and abs(est[i] - r) <= tol:
+                options.append(1 + best(i + 1, used | {j}))
+        return max(options)
+
+    return best(0, frozenset())
+
+
+# Boundaries on a quarter-second grid, so that many pairs tie at the tolerance.
+boundary_sets = st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True).map(
+    lambda ticks: np.array(sorted(ticks)) * 0.25
+)
+
+
+class TestHitRateProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(est=boundary_sets, ref=boundary_sets, tol=st.sampled_from([0.25, 0.5, 1.0, 3.0]))
+    def test_matches_brute_force_and_swaps(self, est, ref, tol):
+        fwd = evaluate.hit_rate(est, ref, tol)
+        rev = evaluate.hit_rate(ref, est, tol)
+        assert fwd.n_matched == brute_force_matching(est, ref, tol)
+        assert len({i for i, _ in fwd.matched_pairs}) == len({j for _, j in fwd.matched_pairs}) == fwd.n_matched
+        assert all(abs(est[i] - ref[j]) <= tol for i, j in fwd.matched_pairs)
+        assert (fwd.precision, fwd.recall) == (rev.recall, rev.precision)
 
 
 class TestAlignToDownbeats:

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.io.wavfile
 
 from barseg import cli, matio, pipeline, synthetic
 
@@ -21,6 +22,16 @@ def song_dir(tmp_path_factory):
 def short_song_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("short") / "tiny"
     synthetic.write_song_dir(directory, "AAAABBBB")
+    return directory
+
+
+@pytest.fixture(scope="module")
+def silent_song_dir(tmp_path_factory):
+    """An 8 s song of 16 bars whose audio is all zeros."""
+    directory = tmp_path_factory.mktemp("silent") / "silent"
+    synthetic.write_song_dir(directory, "AAAABBBBAAAABBBB")
+    rate, samples = scipy.io.wavfile.read(directory / "audio.wav")
+    scipy.io.wavfile.write(directory / "audio.wav", rate, np.zeros_like(samples))
     return directory
 
 
@@ -118,6 +129,63 @@ class TestRunSong:
         with pytest.raises(pipeline.StageError) as excinfo:
             pipeline.run_song(cfg)
         assert excinfo.value.stage == "load"
+
+    @pytest.mark.parametrize("stage", ["features", "barwise_tf", "evaluation", "output"])
+    def test_failure_names_its_stage(self, short_song_dir, tmp_path, stage):
+        overrides = {"output_dir": str(tmp_path / "out")}
+        if stage == "features":
+            # Centered frames need more than n_fft/2 samples.
+            path = tmp_path / "short.wav"
+            scipy.io.wavfile.write(path, 44100, np.zeros(100, dtype=np.int16))
+            overrides["audio_path"] = str(path)
+        elif stage == "barwise_tf":
+            path = tmp_path / "downbeats.txt"
+            last = float((short_song_dir / "downbeats.txt").read_text().split()[-1])
+            path.write_text((short_song_dir / "downbeats.txt").read_text() + f"{last + 1}\n{last + 2}\n")
+            overrides["downbeats_path"] = str(path)
+        elif stage == "evaluation":
+            path = tmp_path / "annotations.txt"
+            path.write_text("0.0\tintro\nsoon\tverse\n")
+            overrides["annotations_path"] = str(path)
+        else:
+            (tmp_path / "out").write_text("an existing file, not a directory")
+        cfg = make_config(short_song_dir, tmp_path, compressor="none", **overrides)
+        with pytest.raises(pipeline.StageError) as excinfo:
+            pipeline.run_song(cfg)
+        assert excinfo.value.stage == stage
+        assert f"stage {stage!r} failed" in str(excinfo.value)
+
+    def test_timings_keys_without_annotations(self, short_song_dir, tmp_path):
+        cfg = make_config(short_song_dir, tmp_path, compressor="none", annotations_path="")
+        result = pipeline.run_song(cfg)
+        assert set(result.timings) == {"load", "features", "barwise_tf", "compression", "segmentation"}
+
+
+class TestDegenerateInput:
+    @pytest.mark.parametrize("compressor", ["pca", "none"])
+    def test_silent_song_is_one_segment(self, silent_song_dir, tmp_path, compressor):
+        cfg = make_config(silent_song_dir, tmp_path, compressor=compressor)
+        with pytest.warns(UserWarning, match=r"c_k8_max=0\.0 is not positive"):
+            result = pipeline.run_song(cfg)
+        assert result.boundaries_bars == [0, 16]
+        assert result.boundaries_seconds == [0.0, 8.0]
+        assert result.total_score == 0.0
+        assert json.loads((tmp_path / "audio.result.json").read_text())["boundaries_bars"] == [0, 16]
+
+    @pytest.mark.parametrize("dc_args", [[], ["--dc-sweep", "2,3"]])
+    def test_eight_bar_song_is_one_segment(self, short_song_dir, tmp_path, capsys, dc_args):
+        # PCA of 8 bars gives negative cosines, and c_k8_max < 0 over the one window.
+        with pytest.warns(UserWarning, match="c_k8_max=-"):
+            rc = cli.main([
+                "segment", str(short_song_dir / "audio.wav"),
+                "--downbeats", str(short_song_dir / "downbeats.txt"),
+                "--compressor", "pca", *dc_args, "--out", str(tmp_path),
+            ])
+        assert rc == 0
+        results = sorted(tmp_path.rglob("audio.result.json"))
+        assert len(results) == (2 if dc_args else 1)
+        for path in results:
+            assert json.loads(path.read_text())["boundaries_bars"] == [0, 8]
 
 
 class TestPipelineConfig:
@@ -243,6 +311,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("barseg: error: ")
         assert str(config) in err and "'bogus'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_bad_value_names_file_and_key(self, song_dir, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("d_c = abc\n")
+        rc = cli.main([
+            "segment", str(song_dir / "audio.wav"),
+            "--downbeats", str(song_dir / "downbeats.txt"), "--config", str(config),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"barseg: error: {config}: d_c: invalid literal for int() with base 10: 'abc'\n"
+
+    @pytest.mark.parametrize("command", ["segment", "eval"])
+    def test_bad_tolerances_flag_names_source_and_key(self, song_dir, tmp_path, capsys, command):
+        ann = str(song_dir / "annotations.txt")
+        if command == "segment":
+            argv = ["segment", str(song_dir / "audio.wav"), "--downbeats", str(song_dir / "downbeats.txt")]
+        else:
+            argv = ["eval", ann, ann]
+        rc = cli.main(argv + ["--tolerances", "x", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "barseg: error: command line: tolerances: could not convert string to float: 'x'\n"
         assert not (tmp_path / "out").exists()
 
     def test_eval_subcommand(self, song_dir, tmp_path, capsys):
