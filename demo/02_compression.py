@@ -19,8 +19,8 @@ D_C = 8
 def main():
     samples, grid, _ = synthetic.make_song()
     signal = features.AudioSignal(samples, sample_rate=44100)
-    spec = features.compute_feature(signal, "nnlms")
-    tf_matrix = bars.barwise_tf(spec, grid)
+    # FeatureFrames computes the feature only at the frames the bars read.
+    tf_matrix = bars.barwise_tf(features.FeatureFrames(signal, "nnlms"), grid)
     X = tf_matrix.values.T  # bar columns
     norm_sq = np.sum(X**2)
     print(f"barwise TF: {tf_matrix.n_bars} bars x {X.shape[0]} dims, d_c={D_C}")

@@ -22,8 +22,8 @@ def ascii_matrix(A, shades=" .:-=+*#%@"):
 def main():
     samples, grid, truth = synthetic.make_song(STRUCTURE)
     signal = features.AudioSignal(samples, sample_rate=44100)
-    spec = features.compute_feature(signal, "nnlms")
-    tf_matrix = bars.barwise_tf(spec, grid)
+    # FeatureFrames computes the feature only at the frames the bars read.
+    tf_matrix = bars.barwise_tf(features.FeatureFrames(signal, "nnlms"), grid)
 
     model = lowrank.pca_compress(tf_matrix.values.T, 8)
     A = segment.cosine_autosimilarity(model.H)

@@ -1,4 +1,4 @@
-"""Barwise slicing: spectrogram + downbeat grid -> barwise TF matrix.
+"""Barwise slicing: feature + downbeat grid -> barwise TF matrix.
 
 Every bar is resampled to a fixed subdivision of s frames (equally spaced
 between its bounding downbeats) and vectorized frequency-major into one
@@ -95,9 +95,11 @@ def select_frames(f_start, f_end, subdivision):
 
 
 def barwise_tf(spec, grid, subdivision=DEFAULT_SUBDIVISION):
-    """Build the b x (f*s) barwise TF matrix from a spectrogram and bar grid.
+    """Build the b x (f*s) barwise TF matrix from a feature and bar grid.
 
-    Bar edges are the frames nearest each downbeat; frames past the last
+    `spec` is a `Spectrogram` or a `FeatureFrames`; either is read only at
+    the b*s frames the bars select, through one `spec.at(...)` call. Bar
+    edges are the frames nearest each downbeat; frames past the last
     downbeat are ignored.
     """
     frames_per_second = spec.sample_rate / spec.hop
@@ -105,11 +107,13 @@ def barwise_tf(spec, grid, subdivision=DEFAULT_SUBDIVISION):
     edges = np.minimum(edges, spec.n_frames)
     if edges[0] >= spec.n_frames:
         raise ValueError("first downbeat lies past the end of the spectrogram")
-    rows = np.empty((grid.n_bars, spec.n_bins * subdivision))
+    plan = np.empty((grid.n_bars, subdivision), dtype=np.int64)
     for i in range(grid.n_bars):
         f_start, f_end = edges[i], edges[i + 1]
         if f_end <= f_start:
             raise ValueError(f"bar {i}: downbeats map to an empty frame range [{f_start}, {f_end})")
-        idx = select_frames(f_start, f_end, subdivision)
-        rows[i] = spec.values[:, idx].ravel()
-    return BarwiseTF(rows, n_bins=spec.n_bins, subdivision=subdivision, feature_kind=spec.feature_kind)
+        plan[i] = select_frames(f_start, f_end, subdivision)
+    values = spec.at(plan.ravel())  # f x (b*s), bar-major columns
+    n_bins = values.shape[0]
+    rows = values.reshape(n_bins, grid.n_bars, subdivision).transpose(1, 0, 2).reshape(grid.n_bars, -1)
+    return BarwiseTF(rows, n_bins=n_bins, subdivision=subdivision, feature_kind=spec.feature_kind)

@@ -25,19 +25,26 @@ def _load_config_file(path):
     return values
 
 
+def _convert(source, key, convert, value):
+    """convert(value), with a bad value reported as `<source>: <key>: <reason>`."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {key}: {exc}") from exc
+
+
+def _float_tuple(value):
+    return tuple(float(t) for t in value.split(","))
+
+
 def _coerce_config(values, source):
     """Convert option values to the types of their PipelineConfig fields."""
     out = {}
     for key, value in values.items():
         if key not in _FIELD_TYPES:
             raise ValueError(f"{source}: unknown config key {key!r}")
-        try:
-            if _FIELD_TYPES[key] is tuple:
-                out[key] = tuple(float(t) for t in value.split(","))
-            else:
-                out[key] = _FIELD_TYPES[key](value)
-        except ValueError as exc:
-            raise ValueError(f"{source}: {key}: {exc}") from exc
+        convert = _float_tuple if _FIELD_TYPES[key] is tuple else _FIELD_TYPES[key]
+        out[key] = _convert(source, key, convert, value)
     return out
 
 
@@ -91,7 +98,9 @@ def _print_result(result):
 
 
 def cmd_segment(args):
-    sweep = [int(v) for v in args.dc_sweep.split(",")] if args.dc_sweep else [None]
+    sweep = [None]
+    if args.dc_sweep:
+        sweep = _convert("command line", "dc_sweep", lambda v: [int(t) for t in v.split(",")], args.dc_sweep)
     for d_c in sweep:
         if d_c is not None:
             args.d_c = d_c

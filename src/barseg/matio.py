@@ -74,6 +74,8 @@ def read_pgm(path):
     maxval = int(parts[2])
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
+    if len(parts[3]) < width * height:
+        raise ValueError(f"{path}: truncated PGM payload")
     pixels = np.frombuffer(parts[3][: width * height], dtype=np.uint8)
     return pixels.reshape(height, width).copy()
 

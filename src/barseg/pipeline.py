@@ -124,7 +124,9 @@ def run_song(cfg, song_id=None):
         signal = features.load_wav(cfg.audio_path)
         grid = bars.load_downbeats(cfg.downbeats_path)
     with _stage("features", timings):
-        spec = features.compute_feature(signal, cfg.feature, n_fft=cfg.n_fft, hop=cfg.hop)
+        # Lazy: checks its inputs here; the barwise_tf stage computes the
+        # STFT and the feature at the frames the bars select.
+        spec = features.FeatureFrames(signal, cfg.feature, n_fft=cfg.n_fft, hop=cfg.hop)
     with _stage("barwise_tf", timings):
         tf_matrix = bars.barwise_tf(spec, grid, subdivision=cfg.subdivision)
     with _stage("compression", timings):

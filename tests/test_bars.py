@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from barseg import bars
-from barseg.features import Spectrogram
+from barseg import bars, synthetic
+from barseg.features import AudioSignal, FeatureFrames, Spectrogram, compute_feature
 
 
 def spec_from(values, hop=32, sr=44100, kind="nnlms"):
@@ -128,3 +130,73 @@ class TestBarwiseTF:
         grid = bars.BarGrid([0.0, 2.1, 4.3, 7.7, 9.9])
         tf = bars.barwise_tf(spec, grid, subdivision=13)
         assert tf.values.shape == (4, 7 * 13)
+
+
+FEATURES = ["chroma", "mel", "lms", "nnlms", "mfcc"]
+
+
+def tempo_change_song():
+    """16 bars of 0.5 s, then 16 bars of 0.8 s."""
+    first, grid1, _ = synthetic.make_song("AAAAAAAABBBBBBBB", bar_seconds=0.5)
+    second, grid2, _ = synthetic.make_song("CCCCCCCCAAAAAAAA", bar_seconds=0.8, seed=5)
+    downbeats = np.concatenate([grid1.downbeats, grid1.downbeats[-1] + grid2.downbeats[1:]])
+    return np.concatenate([first, second]), bars.BarGrid(downbeats)
+
+
+SONGS = {
+    "acceptance": lambda: synthetic.make_song()[:2],
+    "tempo_change": tempo_change_song,
+    # 0.05 s bars span 69 frames, fewer than the 96 each bar reads.
+    "short_bars": lambda: synthetic.make_song(bar_seconds=0.05)[:2],
+}
+
+
+@pytest.fixture(scope="module", params=list(SONGS))
+def song(request):
+    samples, grid = SONGS[request.param]()
+    return request.param, AudioSignal(samples, 44100), grid
+
+
+class TestBarwiseFromFeatureFrames:
+    @pytest.mark.parametrize("kind", FEATURES)
+    def test_matches_dense_feature(self, song, kind):
+        name, signal, grid = song
+        lazy = bars.barwise_tf(FeatureFrames(signal, kind), grid)
+        dense = bars.barwise_tf(compute_feature(signal, kind), grid)
+        assert (lazy.n_bins, lazy.subdivision, lazy.feature_kind) == (dense.n_bins, dense.subdivision, kind)
+        if name == "short_bars" and kind != "chroma":
+            # The last bar's columns sit at the tail of the dense `fb @ power`
+            # product, which BLAS may round differently.
+            np.testing.assert_allclose(lazy.values, dense.values, rtol=1e-12, atol=0)
+        else:
+            assert np.array_equal(lazy.values, dense.values)
+
+    @pytest.mark.parametrize("frame", [-1, 1 + 44100 // 32])
+    def test_at_rejects_frames_outside_the_grid(self, frame):
+        feature = FeatureFrames(AudioSignal(np.zeros(44100), 44100), "nnlms")
+        with pytest.raises(IndexError, match=r"frame indices must lie in \[0, 1379\)"):
+            feature.at([0, frame])
+
+    @pytest.mark.parametrize("samples, kwargs, message", [
+        (np.zeros(4096), {"n_fft": 16, "hop": 32}, "need n_fft >= hop >= 1"),
+        (np.zeros(0), {}, "signal is empty"),
+        (np.zeros(1024), {}, r"signal too short for centered frames \(need > 1024 samples\)"),
+        (np.zeros(4096), {"kind": "cqt"}, "unknown feature kind 'cqt'"),
+    ])
+    def test_inputs_checked_when_built(self, samples, kwargs, message):
+        kind = kwargs.pop("kind", "nnlms")
+        with pytest.raises(ValueError, match=message):
+            FeatureFrames(AudioSignal(samples, 44100), kind, **kwargs)
+
+    def test_memory_grows_with_bars_not_duration(self):
+        # 600 s in 32 bars: the dense power spectrogram alone would take 6.3 GiB.
+        samples, grid, _ = synthetic.make_song(bar_seconds=600 / 32)
+        signal = AudioSignal(samples, 44100)
+        tracemalloc.start()
+        try:
+            tf = bars.barwise_tf(FeatureFrames(signal, "nnlms"), grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tf.values.shape == (32, 80 * 96)
+        assert peak < 3 * samples.nbytes, f"peak {peak / 2**20:.0f} MB for {samples.nbytes / 2**20:.0f} MB of samples"

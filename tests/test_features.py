@@ -22,6 +22,15 @@ def sine(freq, seconds=1.0, sr=44100, amp=0.5):
     return amp * np.sin(2 * np.pi * freq * t)
 
 
+def padded_stft_power_reference(samples, n_fft, hop):
+    """The power STFT as a copy of the reflect-padded signal, frame by frame."""
+    padded = np.pad(samples, n_fft // 2, mode="reflect")
+    window = features._hann_window(n_fft)
+    frames = np.stack([padded[t * hop:t * hop + n_fft] for t in range(1 + len(samples) // hop)])
+    spectrum = np.fft.rfft(frames * window, axis=1)
+    return (spectrum.real**2 + spectrum.imag**2).T
+
+
 class TestLoadWav:
     def test_silence_mono(self, tmp_path):
         path = tmp_path / "silence.wav"
@@ -114,6 +123,18 @@ class TestStftPower:
     def test_empty_signal_rejected(self):
         with pytest.raises(ValueError):
             features.stft_power(features.AudioSignal(np.zeros(0), 44100))
+
+    @pytest.mark.parametrize("n_samples, n_fft, hop", [(44100 * 4, 2048, 32), (10001, 512, 100)])
+    def test_matches_padded_reference(self, n_samples, n_fft, hop):
+        # 44100*4 samples at hop 32 give 5513 frames, which span many FFT chunks.
+        sig = features.AudioSignal(np.random.default_rng(4).uniform(-1, 1, n_samples), 44100)
+        expected = padded_stft_power_reference(sig.samples, n_fft, hop)
+        assert np.array_equal(features.stft_power(sig, n_fft=n_fft, hop=hop).values, expected)
+        # Any frames, in any order, with repeats and both reflected edges.
+        feature = features.FeatureFrames(sig, "stft_power", n_fft=n_fft, hop=hop)
+        frames = np.random.default_rng(5).integers(0, feature.n_frames, 5000)
+        frames[:3] = [feature.n_frames - 1, 0, feature.n_frames - 1]
+        assert np.array_equal(feature.at(frames), expected[:, frames])
 
     @pytest.mark.parametrize("n_fft", [512, 2048, 4096])
     def test_hann_window_matches_scipy(self, n_fft):

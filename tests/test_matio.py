@@ -1,9 +1,22 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from barseg import matio
+
+
+def round_trip(write, read, matrix, name):
+    """read(write(matrix)) through a file in a fresh temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        write(path, matrix)
+        return read(path)
 
 
 class TestBseg:
@@ -36,6 +49,14 @@ class TestBseg:
         with pytest.raises(ValueError, match="truncated"):
             matio.read_bseg(path)
 
+    @settings(derandomize=True, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+                  elements=st.floats(width=64) | st.sampled_from([0.0, -0.0, 1e308, -1e308])))
+    def test_roundtrip_bit_equal(self, m):
+        back = round_trip(matio.write_bseg, matio.read_bseg, m, "m.bseg")
+        assert back.dtype == np.float64 and back.shape == m.shape
+        assert back.tobytes() == m.tobytes()
+
 
 class TestPgm:
     def test_mapping_values(self, tmp_path):
@@ -56,6 +77,21 @@ class TestPgm:
         matio.write_pgm(path, m)
         expected = np.clip(np.rint(255 * (m + 1) / 2), 0, 255).astype(np.uint8)
         assert np.array_equal(matio.read_pgm(path), expected)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = tmp_path / "d.pgm"
+        matio.write_pgm(path, np.zeros((3, 4)))
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError) as excinfo:
+            matio.read_pgm(path)
+        assert str(excinfo.value) == f"{path}: truncated PGM payload"
+
+    @settings(derandomize=True, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=8),
+                  elements=st.floats(-1.0, 1.0)))
+    def test_roundtrip_quantizes(self, m):
+        expected = np.clip(np.rint(255 * (m + 1) / 2), 0, 255).astype(np.uint8)
+        assert np.array_equal(round_trip(matio.write_pgm, matio.read_pgm, m, "m.pgm"), expected)
 
 
 class TestJson:

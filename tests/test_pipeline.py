@@ -337,6 +337,16 @@ class TestCli:
         assert err == "barseg: error: command line: tolerances: could not convert string to float: 'x'\n"
         assert not (tmp_path / "out").exists()
 
+    def test_bad_dc_sweep_names_flag(self, song_dir, tmp_path, capsys):
+        rc = cli.main([
+            "segment", str(song_dir / "audio.wav"), "--downbeats", str(song_dir / "downbeats.txt"),
+            "--dc-sweep", "2,x", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "barseg: error: command line: dc_sweep: invalid literal for int() with base 10: 'x'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_eval_subcommand(self, song_dir, tmp_path, capsys):
         ann = str(song_dir / "annotations.txt")
         rc = cli.main(["eval", ann, ann, "--out", str(tmp_path)])

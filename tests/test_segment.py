@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from barseg import segment
 
@@ -65,6 +68,41 @@ class TestCosineAutosimilarity:
         assert np.abs(A - A.T).max() < 1e-12
         assert A.min() >= -1.0 and A.max() <= 1.0
         assert np.allclose(np.diag(A), 1.0)
+
+
+# Entries are 0 or of magnitude 1e-3..1e3, so column norms neither overflow nor underflow.
+entries = st.just(0.0) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+
+
+@st.composite
+def embeddings(draw):
+    """d x b finite Z with no zero column, a column index and a positive scale."""
+    d, b = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    Z = draw(arrays(np.float64, (d, b), elements=entries))
+    Z[0, ~np.any(Z != 0, axis=0)] = 1.0
+    return Z, draw(st.integers(0, b - 1)), draw(st.floats(1e-3, 1e3))
+
+
+class TestCosineAutosimilarityProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(embeddings())
+    def test_symmetric_unit_diagonal_bounded_scale_invariant(self, case):
+        Z, j, scale = case
+        A = segment.cosine_autosimilarity(Z)
+        assert np.array_equal(A, A.T)
+        assert np.all(np.diag(A) == 1.0)
+        assert A.min() >= -1.0 and A.max() <= 1.0
+        scaled = Z.copy()
+        scaled[:, j] *= scale
+        assert np.abs(segment.cosine_autosimilarity(scaled) - A).max() <= 1e-12
+
+    @settings(derandomize=True, deadline=None)
+    @given(embeddings())
+    def test_zero_column_gives_zero_row_and_column(self, case):
+        Z, j, _ = case
+        Z[:, j] = 0.0
+        A = segment.cosine_autosimilarity(Z)
+        assert np.all(A[j, :] == 0.0) and np.all(A[:, j] == 0.0)
 
 
 class TestKernelPenalty:
