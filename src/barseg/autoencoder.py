@@ -4,10 +4,17 @@ The network is small enough that forward passes, analytic backprop, and
 Adam are written directly on numpy arrays (float64 throughout). It is two
 layer lists, run in order and in reverse for backprop: the encoder is
 conv(1->4), ReLU, pool, conv(4->16), ReLU, pool, flatten and a linear
-latent layer of size d_c; the decoder is a dense layer, ReLU, a reshape to
-16 channels and two stride-2 transposed convolutions, each with a ReLU.
+latent layer of size d_c; the decoder is a dense layer, ReLU, an unflatten
+to 16 channels and two stride-2 transposed convolutions, each with a ReLU.
 Training follows a plateau learning-rate schedule with early stopping,
 and the embedding is read out with the best-loss parameters.
+
+Activations are channels-last (N,H,W,C) from the input to the flatten and
+from the unflatten to the output. The two dense layers index their weights
+by the channels-first (NCHW) position, so the flatten and the unflatten
+cross the bottleneck in that order. Only `backward_batch` runs the layers
+in training mode, which keeps what backward reads; the epoch-end loss pass
+and the final encoding keep nothing.
 """
 
 from dataclasses import dataclass
@@ -35,8 +42,10 @@ class AEConfig:
 
 
 # ---------------------------------------------------------------------------
-# Convolution primitives (batch NCHW). Kernels are 3x3; loops run over the
-# 9 kernel offsets with strided slices, which keeps everything vectorized.
+# Convolution primitives (batch channels-last, N,H,W,C). Kernels are 3x3 and
+# stored (Co,Ci,kh,kw), so patch columns are in (c, kh, kw) order. In this
+# layout a conv output is a plain reshape of its GEMM result and no gradient
+# needs a transpose.
 # ---------------------------------------------------------------------------
 
 
@@ -45,60 +54,99 @@ def _out_size(h, w, kh, kw, stride, pad):
 
 
 def _im2col(x, kh, kw, stride, pad):
-    """Unfold x (N,C,H,W) into (N*h_out*w_out, C*kh*kw) patch rows."""
-    n, ci, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    """Unfold x (N,H,W,C) into (N*h_out*w_out, C*kh*kw) patch rows.
+
+    The sliding window is taken over the flat positions of one padded
+    item, and one take gathers those positions from every item. That
+    copies faster than the window view of x itself, whose innermost runs
+    are only kw elements long.
+    """
+    n, h, w, ci = x.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     h_out, w_out = _out_size(h, w, kh, kw, stride, pad)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride][:, :, :h_out, :w_out]
-    col = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * h_out * w_out, ci * kh * kw)
-    return np.ascontiguousarray(col), h_out, w_out
+    pos = np.arange(xp[0].size).reshape(xp.shape[1:])
+    win = np.lib.stride_tricks.sliding_window_view(pos, (kh, kw), axis=(0, 1))
+    win = win[::stride, ::stride][:h_out, :w_out].reshape(h_out * w_out, ci * kh * kw)
+    col = np.take(xp.reshape(n, -1), win, axis=1)
+    return col.reshape(n * h_out * w_out, ci * kh * kw), h_out, w_out
 
 
 def _col2im(gcol, in_shape, kh, kw, stride, pad):
     """Adjoint of _im2col: scatter-add patch rows back onto the input grid."""
-    n, ci, h, w = in_shape
+    n, h, w, ci = in_shape
     h_out, w_out = _out_size(h, w, kh, kw, stride, pad)
-    g = gcol.reshape(n, h_out, w_out, ci, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    gxp = np.zeros((n, ci, h + 2 * pad, w + 2 * pad))
+    g = gcol.reshape(n, h_out, w_out, ci, kh, kw)
+    gxp = np.zeros((n, h + 2 * pad, w + 2 * pad, ci))
     for di in range(kh):
         for dj in range(kw):
-            gxp[:, :, di : di + stride * h_out : stride, dj : dj + stride * w_out : stride] += g[:, :, di, dj]
-    return gxp[:, :, pad : pad + h, pad : pad + w]
+            gxp[:, di : di + stride * h_out : stride, dj : dj + stride * w_out : stride] += g[..., di, dj]
+    return gxp[:, pad : pad + h, pad : pad + w]
 
 
 def conv2d(x, K, stride=1, pad=1):
-    """Cross-correlation of x (N,Ci,H,W) with K (Co,Ci,kh,kw).
+    """Cross-correlation of x (N,H,W,Ci) with K (Co,Ci,kh,kw).
 
     Returns (out, col): col is the im2col matrix of x, which the kernel
     gradient reuses.
     """
     n = x.shape[0]
     co, ci, kh, kw = K.shape
-    assert x.shape[1] == ci, f"channel mismatch {x.shape[1]} vs {ci}"
+    assert x.shape[3] == ci, f"channel mismatch {x.shape[3]} vs {ci}"
     col, h_out, w_out = _im2col(x, kh, kw, stride, pad)
     out = col @ K.reshape(co, -1).T
-    return out.reshape(n, h_out, w_out, co).transpose(0, 3, 1, 2), col
+    return out.reshape(n, h_out, w_out, co), col
 
 
 def conv2d_grad_input(gy, K, in_shape, stride=1, pad=1):
     """Gradient of conv2d w.r.t. its input; also the transposed-conv forward."""
-    n, co, h_out, w_out = gy.shape
+    n, h_out, w_out, co = gy.shape
     _, ci, kh, kw = K.shape
-    gy2d = gy.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, co)
-    gcol = gy2d @ K.reshape(co, -1)
-    return _col2im(gcol, (n, ci) + tuple(in_shape), kh, kw, stride, pad)
+    gcol = _pixel_rows(gy) @ K.reshape(co, -1)
+    return _col2im(gcol, (n,) + tuple(in_shape) + (ci,), kh, kw, stride, pad)
 
 
 def conv2d_grad_kernel(col, gy, kernel_shape):
     """Gradient of conv2d w.r.t. the kernel, given the im2col matrix of x."""
-    n, co, h_out, w_out = gy.shape
-    gy2d = gy.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, co)
-    return (gy2d.T @ col).reshape(kernel_shape)
+    return (_pixel_rows(gy).T @ col).reshape(kernel_shape)
+
+
+def _pixel_rows(gy):
+    """(N,H,W,C) -> the (N*H*W, C) GEMM operand, one row per pixel.
+
+    BLAS may round a column-major operand differently from a row-major
+    one. Training is pinned byte for byte to the channels-first (NCHW)
+    formulation, whose operand was a column-major view for a batch of one
+    item and a row-major copy otherwise, so this keeps both layouts.
+    """
+    rows = gy.reshape(-1, gy.shape[3])
+    return np.asfortranarray(rows) if gy.shape[0] == 1 else rows
+
+
+def _add_bias(y, b):
+    """y + b over the channels of a fresh (N,H,W,C) y, added in place.
+
+    Adding along whole W*C rows keeps numpy's inner loop long; along the
+    C axis alone it would be a few elements wide.
+    """
+    n, h, w, c = y.shape
+    rows = y.reshape(n, h, w * c)
+    rows += np.tile(b, w)
+    return rows.reshape(y.shape)
+
+
+def _channel_sum(gy):
+    """Bias gradient of an (N,H,W,C) output, summed in NCHW memory order.
+
+    A sum over a channels-last array rounds differently, so the channels-
+    first copy keeps training byte-identical to the NCHW network.
+    """
+    return np.ascontiguousarray(gy.transpose(0, 3, 1, 2)).sum(axis=(0, 2, 3))
 
 
 # ---------------------------------------------------------------------------
-# Layers: backward(gy, grads) stores parameter gradients, returns the input's.
+# Layers. forward(x, train) keeps what backward reads only when train is
+# true, so an inference pass holds no caches. backward(gy, grads) stores
+# parameter gradients and returns the input's.
 # ---------------------------------------------------------------------------
 
 
@@ -126,15 +174,19 @@ class Conv2D(ParamLayer):
     def __init__(self, c_in, c_out, rng, name):
         super().__init__(name, rng, (c_out, c_in, 3, 3), c_in * 9, c_out)
 
-    def forward(self, x):
-        self._in_shape = x.shape
-        out, self._col = conv2d(x, self.W)
-        return out + self.b[None, :, None, None]
+    def forward(self, x, train=False):
+        out, col = conv2d(x, self.W)
+        if train:
+            self._in_hw, self._col = x.shape[1:3], col
+        return _add_bias(out, self.b)
+
+    def param_grads(self, gy, grads):
+        grads[self.name + ".W"] = conv2d_grad_kernel(self._col, gy, self.W.shape)
+        grads[self.name + ".b"] = _channel_sum(gy)
 
     def backward(self, gy, grads):
-        grads[self.name + ".W"] = conv2d_grad_kernel(self._col, gy, self.W.shape)
-        grads[self.name + ".b"] = gy.sum(axis=(0, 2, 3))
-        return conv2d_grad_input(gy, self.W, self._in_shape[2:])
+        self.param_grads(gy, grads)
+        return conv2d_grad_input(gy, self.W, self._in_hw)
 
 
 class ConvTranspose2D(ParamLayer):
@@ -147,50 +199,66 @@ class ConvTranspose2D(ParamLayer):
     def __init__(self, c_in, c_out, rng, name):
         super().__init__(name, rng, (c_in, c_out, 3, 3), c_in * 9, c_out)
 
-    def forward(self, z):
-        self._z = z
-        h, w = z.shape[2], z.shape[3]
-        y = conv2d_grad_input(z, self.W, (2 * h, 2 * w), stride=2, pad=1)
-        return y + self.b[None, :, None, None]
+    def forward(self, z, train=False):
+        if train:
+            self._z = z
+        h, w = z.shape[1], z.shape[2]
+        return _add_bias(conv2d_grad_input(z, self.W, (2 * h, 2 * w), stride=2, pad=1), self.b)
 
     def backward(self, gy, grads):
         # The adjoint convolution unfolds gy once for both gradients.
         gz, col = conv2d(gy, self.W, stride=2, pad=1)
         grads[self.name + ".W"] = conv2d_grad_kernel(col, self._z, self.W.shape)
-        grads[self.name + ".b"] = gy.sum(axis=(0, 2, 3))
+        grads[self.name + ".b"] = _channel_sum(gy)
         return gz
 
 
 class ReLU(Layer):
-    def forward(self, x):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+    def forward(self, x, train=False):
+        if train:
+            self._mask = x > 0
+        return np.maximum(x, 0.0)
 
     def backward(self, gy, grads):
         return np.where(self._mask, gy, 0.0)
 
 
 class MaxPool2x2(Layer):
-    def forward(self, x):
-        n, c, h, w = x.shape
-        blocks = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
-        self._argmax = blocks.argmax(axis=-1)
-        self._in_shape = x.shape
-        return np.take_along_axis(blocks, self._argmax[..., None], axis=-1)[..., 0]
+    """2x2 max-pool over (H, W).
+
+    Ties go to the first of the four window positions in row-major order,
+    as an argmax over the window would.
+    """
+
+    OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+    def forward(self, x, train=False):
+        views = [x[:, i::2, j::2] for i, j in self.OFFSETS]
+        y = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
+        if train:
+            self._in_shape = x.shape
+            self._masks = [views[0] == y]
+            taken = self._masks[0]
+            for v in views[1:]:
+                mask = (v == y) & ~taken
+                taken = taken | mask
+                self._masks.append(mask)
+        return y
 
     def backward(self, gy, grads):
-        n, c, h, w = self._in_shape
-        gblocks = np.zeros((n, c, h // 2, w // 2, 4))
-        np.put_along_axis(gblocks, self._argmax[..., None], gy[..., None], axis=-1)
-        return gblocks.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+        gx = np.empty(self._in_shape)
+        for (i, j), mask in zip(self.OFFSETS, self._masks):
+            np.multiply(gy, mask, out=gx[:, i::2, j::2])
+        return gx
 
 
 class Dense(ParamLayer):
     def __init__(self, n_in, n_out, rng, name):
         super().__init__(name, rng, (n_out, n_in), n_in, n_out)
 
-    def forward(self, x):
-        self._x = x
+    def forward(self, x, train=False):
+        if train:
+            self._x = x
         return x @ self.W.T + self.b
 
     def backward(self, gy, grads):
@@ -199,18 +267,34 @@ class Dense(ParamLayer):
         return gy @ self.W
 
 
-class Reshape(Layer):
-    """Reshapes each batch item to `shape`; (-1,) flattens it."""
+class Flatten(Layer):
+    """(N,H,W,C) -> (N, C*H*W) in channels-first order.
 
-    def __init__(self, shape):
-        self.shape = shape
+    The dense layers index their weights by NCHW position, so both sides
+    of the bottleneck cross it in that order.
+    """
 
-    def forward(self, x):
-        self._in_shape = x.shape
-        return x.reshape((x.shape[0],) + self.shape)
+    def forward(self, x, train=False):
+        if train:
+            self._in_shape = x.shape
+        return x.transpose(0, 3, 1, 2).reshape(x.shape[0], -1)
 
     def backward(self, gy, grads):
-        return gy.reshape(self._in_shape)
+        n, h, w, c = self._in_shape
+        return gy.reshape(n, c, h, w).transpose(0, 2, 3, 1)
+
+
+class Unflatten(Layer):
+    """(N, C*H*W) in channels-first order -> (N,H,W,C); Flatten's inverse."""
+
+    def __init__(self, c, h, w):
+        self.chw = (c, h, w)
+
+    def forward(self, x, train=False):
+        return x.reshape((x.shape[0],) + self.chw).transpose(0, 2, 3, 1)
+
+    def backward(self, gy, grads):
+        return gy.transpose(0, 3, 1, 2).reshape(gy.shape[0], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +318,11 @@ class AENetwork:
         self.encoder = [
             Conv2D(1, 4, rng, "conv1"), ReLU(), MaxPool2x2(),
             Conv2D(4, 16, rng, "conv2"), ReLU(), MaxPool2x2(),
-            Reshape((-1,)), Dense(self.flat_size, d_c, rng, "fc_enc"),
+            Flatten(), Dense(self.flat_size, d_c, rng, "fc_enc"),
         ]
         self.decoder = [
             Dense(d_c, self.flat_size, rng, "fc_dec"), ReLU(),
-            Reshape((16, self.f_pad // 4, subdivision // 4)),
+            Unflatten(16, self.f_pad // 4, subdivision // 4),
             ConvTranspose2D(16, 4, rng, "deconv1"), ReLU(),
             ConvTranspose2D(4, 1, rng, "deconv2"), ReLU(),
         ]
@@ -261,39 +345,43 @@ class AENetwork:
     # -- forward / backward ---------------------------------------------------
 
     def _pad_input(self, x):
+        """(N, f, s, 1) -> (N, f_pad, s, 1) with zero rows below."""
         if self.f_pad == self.n_bins:
             return x
-        return np.pad(x, ((0, 0), (0, 0), (0, self.f_pad - self.n_bins), (0, 0)))
+        return np.pad(x, ((0, 0), (0, self.f_pad - self.n_bins), (0, 0), (0, 0)))
 
-    def encode_batch(self, x):
+    def encode_batch(self, x, train=False):
         """x: (N, f, s) -> (N, d_c). Latent layer is linear by design."""
-        h = self._pad_input(np.asarray(x, dtype=np.float64)[:, None, :, :])
+        h = self._pad_input(np.asarray(x, dtype=np.float64)[..., None])
         for layer in self.encoder:
-            h = layer.forward(h)
+            h = layer.forward(h, train)
         return h
 
-    def decode_batch(self, z):
+    def decode_batch(self, z, train=False):
         """(N, d_c) -> (N, f, s), nonnegative thanks to the final ReLU."""
         for layer in self.decoder:
-            z = layer.forward(z)
-        return z[:, 0, : self.n_bins, :]
+            z = layer.forward(z, train)
+        return z[:, : self.n_bins, :, 0]
 
-    def forward_batch(self, x):
-        z = self.encode_batch(x)
-        return z, self.decode_batch(z)
+    def forward_batch(self, x, train=False):
+        z = self.encode_batch(x, train)
+        return z, self.decode_batch(z, train)
 
     def backward_batch(self, x):
         """Gradients of the batch-mean reconstruction MSE for every parameter."""
         x = np.asarray(x, dtype=np.float64)
         n_batch = x.shape[0]
-        z, x_hat = self.forward_batch(x)
+        z, x_hat = self.forward_batch(x, train=True)
         grads = {}
         gy = 2.0 * (x_hat - x) / (x.shape[1] * x.shape[2] * n_batch)
         # Undo the output crop: padded rows never contribute to the loss.
-        g = np.zeros((n_batch, 1, self.f_pad, self.subdivision))
-        g[:, 0, : self.n_bins, :] = gy
-        for layer in reversed(self.encoder + self.decoder):
+        g = np.zeros((n_batch, self.f_pad, self.subdivision, 1))
+        g[:, : self.n_bins, :, 0] = gy
+        layers = self.encoder + self.decoder
+        for layer in reversed(layers[1:]):
             g = layer.backward(g, grads)
+        # Nothing reads the gradient with respect to the data.
+        layers[0].param_grads(g, grads)
         return grads, float(np.mean((x_hat - x) ** 2))
 
 

@@ -123,6 +123,13 @@ def run_song(cfg, song_id=None):
     with _stage("load", timings):
         signal = features.load_wav(cfg.audio_path)
         grid = bars.load_downbeats(cfg.downbeats_path)
+    # PCA and NMF give at most one component per bar; the AE's d_c is
+    # bounded by its bottleneck instead. Fail before paying for features.
+    if cfg.compressor in ("pca", "nmf") and cfg.d_c > grid.n_bars:
+        raise ValueError(
+            f"{cfg.compressor} needs d_c <= the number of bars, but d_c={cfg.d_c} "
+            f"and song {song_id!r} has {grid.n_bars} bars"
+        )
     with _stage("features", timings):
         # Lazy: checks its inputs here; the barwise_tf stage computes the
         # STFT and the feature at the frames the bars select.

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from barseg import autoencoder as ae
+from barseg import bars, features, synthetic
 
 
 class TestInitNetwork:
@@ -76,8 +77,8 @@ class TestForward:
                 h = layer.forward(h)
             return h
 
-        h1 = conv_stages(net._pad_input(x[:, None]))
-        h2 = conv_stages(net._pad_input(2 * x[:, None]))
+        h1 = conv_stages(net._pad_input(x[..., None]))
+        h2 = conv_stages(net._pad_input(2 * x[..., None]))
         assert np.allclose(h2, 2 * h1, rtol=1e-12)
 
     def test_encoding_locality(self):
@@ -272,3 +273,285 @@ class TestSerialization:
         assert lines[0] == "epoch,loss"
         assert lines[1] == "0,0.5"
         assert len(lines) == 3
+
+
+# ---------------------------------------------------------------------------
+# Test-side copy of the channels-first (NCHW) network that the channels-last
+# layers replaced, run on the parameters of an `ae.init_network` network. The
+# module's network must match it byte for byte.
+# ---------------------------------------------------------------------------
+
+
+def nchw_im2col(x, kh, kw, stride, pad):
+    n, ci, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    h_out, w_out = ae._out_size(h, w, kh, kw, stride, pad)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride][:, :, :h_out, :w_out]
+    col = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * h_out * w_out, ci * kh * kw)
+    return np.ascontiguousarray(col), h_out, w_out
+
+
+def nchw_col2im(gcol, in_shape, kh, kw, stride, pad):
+    n, ci, h, w = in_shape
+    h_out, w_out = ae._out_size(h, w, kh, kw, stride, pad)
+    g = gcol.reshape(n, h_out, w_out, ci, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    gxp = np.zeros((n, ci, h + 2 * pad, w + 2 * pad))
+    for di in range(kh):
+        for dj in range(kw):
+            gxp[:, :, di : di + stride * h_out : stride, dj : dj + stride * w_out : stride] += g[:, :, di, dj]
+    return gxp[:, :, pad : pad + h, pad : pad + w]
+
+
+def nchw_conv2d(x, K, stride=1, pad=1):
+    n = x.shape[0]
+    co, ci, kh, kw = K.shape
+    col, h_out, w_out = nchw_im2col(x, kh, kw, stride, pad)
+    out = col @ K.reshape(co, -1).T
+    return out.reshape(n, h_out, w_out, co).transpose(0, 3, 1, 2), col
+
+
+def nchw_conv2d_grad_input(gy, K, in_shape, stride=1, pad=1):
+    n, co, h_out, w_out = gy.shape
+    _, ci, kh, kw = K.shape
+    gy2d = gy.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, co)
+    gcol = gy2d @ K.reshape(co, -1)
+    return nchw_col2im(gcol, (n, ci) + tuple(in_shape), kh, kw, stride, pad)
+
+
+def nchw_conv2d_grad_kernel(col, gy, kernel_shape):
+    n, co, h_out, w_out = gy.shape
+    gy2d = gy.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, co)
+    return (gy2d.T @ col).reshape(kernel_shape)
+
+
+class NCHWLayer:
+    def __init__(self, name=None, state=None):
+        self.name = name
+        if name is not None:
+            self.W, self.b = state[name + ".W"].copy(), state[name + ".b"].copy()
+
+    def params(self):
+        return {} if self.name is None else {self.name + ".W": self.W, self.name + ".b": self.b}
+
+
+class NCHWConv2D(NCHWLayer):
+    def forward(self, x):
+        self._in_shape = x.shape
+        out, self._col = nchw_conv2d(x, self.W)
+        return out + self.b[None, :, None, None]
+
+    def backward(self, gy, grads):
+        grads[self.name + ".W"] = nchw_conv2d_grad_kernel(self._col, gy, self.W.shape)
+        grads[self.name + ".b"] = gy.sum(axis=(0, 2, 3))
+        return nchw_conv2d_grad_input(gy, self.W, self._in_shape[2:])
+
+
+class NCHWConvTranspose2D(NCHWLayer):
+    def forward(self, z):
+        self._z = z
+        h, w = z.shape[2], z.shape[3]
+        y = nchw_conv2d_grad_input(z, self.W, (2 * h, 2 * w), stride=2, pad=1)
+        return y + self.b[None, :, None, None]
+
+    def backward(self, gy, grads):
+        gz, col = nchw_conv2d(gy, self.W, stride=2, pad=1)
+        grads[self.name + ".W"] = nchw_conv2d_grad_kernel(col, self._z, self.W.shape)
+        grads[self.name + ".b"] = gy.sum(axis=(0, 2, 3))
+        return gz
+
+
+class NCHWReLU(NCHWLayer):
+    def forward(self, x):
+        self._mask = x > 0
+        return np.where(self._mask, x, 0.0)
+
+    def backward(self, gy, grads):
+        return np.where(self._mask, gy, 0.0)
+
+
+class NCHWMaxPool2x2(NCHWLayer):
+    def forward(self, x):
+        n, c, h, w = x.shape
+        blocks = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
+        self._argmax = blocks.argmax(axis=-1)
+        self._in_shape = x.shape
+        return np.take_along_axis(blocks, self._argmax[..., None], axis=-1)[..., 0]
+
+    def backward(self, gy, grads):
+        n, c, h, w = self._in_shape
+        gblocks = np.zeros((n, c, h // 2, w // 2, 4))
+        np.put_along_axis(gblocks, self._argmax[..., None], gy[..., None], axis=-1)
+        return gblocks.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+
+
+class NCHWDense(NCHWLayer):
+    def forward(self, x):
+        self._x = x
+        return x @ self.W.T + self.b
+
+    def backward(self, gy, grads):
+        grads[self.name + ".W"] = gy.T @ self._x
+        grads[self.name + ".b"] = gy.sum(axis=0)
+        return gy @ self.W
+
+
+class NCHWReshape(NCHWLayer):
+    def __init__(self, shape):
+        super().__init__()
+        self.shape = shape
+
+    def forward(self, x):
+        self._in_shape = x.shape
+        return x.reshape((x.shape[0],) + self.shape)
+
+    def backward(self, gy, grads):
+        return gy.reshape(self._in_shape)
+
+
+class NCHWNetwork:
+    """The NCHW network, built on a copy of `net`'s parameters."""
+
+    def __init__(self, net):
+        state = net.get_state()
+        self.n_bins, self.f_pad, self.subdivision = net.n_bins, net.f_pad, net.subdivision
+        self.encoder = [
+            NCHWConv2D("conv1", state), NCHWReLU(), NCHWMaxPool2x2(),
+            NCHWConv2D("conv2", state), NCHWReLU(), NCHWMaxPool2x2(),
+            NCHWReshape((-1,)), NCHWDense("fc_enc", state),
+        ]
+        self.decoder = [
+            NCHWDense("fc_dec", state), NCHWReLU(),
+            NCHWReshape((16, self.f_pad // 4, self.subdivision // 4)),
+            NCHWConvTranspose2D("deconv1", state), NCHWReLU(),
+            NCHWConvTranspose2D("deconv2", state), NCHWReLU(),
+        ]
+
+    def parameters(self):
+        out = {}
+        for layer in self.encoder + self.decoder:
+            out.update(layer.params())
+        return out
+
+    def get_state(self):
+        return {k: v.copy() for k, v in self.parameters().items()}
+
+    def set_state(self, state):
+        for k, v in self.parameters().items():
+            v[...] = state[k]
+
+    def encode_batch(self, x):
+        h = np.asarray(x, dtype=np.float64)[:, None, :, :]
+        if self.f_pad != self.n_bins:
+            h = np.pad(h, ((0, 0), (0, 0), (0, self.f_pad - self.n_bins), (0, 0)))
+        for layer in self.encoder:
+            h = layer.forward(h)
+        return h
+
+    def forward_batch(self, x):
+        z = self.encode_batch(x)
+        h = z
+        for layer in self.decoder:
+            h = layer.forward(h)
+        return z, h[:, 0, : self.n_bins, :]
+
+    def backward_batch(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        n_batch = x.shape[0]
+        z, x_hat = self.forward_batch(x)
+        grads = {}
+        gy = 2.0 * (x_hat - x) / (x.shape[1] * x.shape[2] * n_batch)
+        g = np.zeros((n_batch, 1, self.f_pad, self.subdivision))
+        g[:, 0, : self.n_bins, :] = gy
+        for layer in reversed(self.encoder + self.decoder):
+            g = layer.backward(g, grads)
+        return grads, float(np.mean((x_hat - x) ** 2))
+
+
+def nchw_train_single_song(bars, cfg):
+    """The training loop of `ae.train_single_song`, run on the NCHW network."""
+    b, f, s = bars.shape
+    net = NCHWNetwork(ae.init_network(f, s, cfg.d_c, seed=cfg.seed))
+    rng = np.random.default_rng(cfg.seed)
+    optimizer = ae.AdamOptimizer(net.parameters())
+    schedule = ae.PlateauSchedule(cfg.lr0, cfg.lr_factor, cfg.plateau_patience, cfg.lr_min, cfg.early_stop_patience)
+
+    def full_loss():
+        total = 0.0
+        for start in range(0, b, 32):
+            chunk = bars[start : start + 32]
+            _, x_hat = net.forward_batch(chunk)
+            total += float(np.sum((chunk - x_hat) ** 2))
+        return total / bars.size
+
+    best_state, best_loss = net.get_state(), full_loss()
+    trace, lr, epochs_run = [], cfg.lr0, 0
+    for _ in range(cfg.max_epochs):
+        order = rng.permutation(b)
+        for start in range(0, b, cfg.batch_size):
+            grads, _ = net.backward_batch(bars[order[start : start + cfg.batch_size]])
+            optimizer.step(net.parameters(), grads, lr)
+        epoch_loss = full_loss()
+        trace.append(epoch_loss)
+        epochs_run += 1
+        lr, stop, improved = schedule.step(epoch_loss)
+        if improved and epoch_loss < best_loss:
+            best_loss, best_state = epoch_loss, net.get_state()
+        if stop:
+            break
+    net.set_state(best_state)
+    return net.encode_batch(bars).T, np.asarray(trace), best_loss, epochs_run
+
+
+def assert_same_bytes(actual, expected, what):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape, what
+    assert actual.tobytes() == expected.tobytes(), what
+
+
+@pytest.fixture(scope="module")
+def acceptance_bars(tmp_path_factory):
+    """The nnlms bar patches (32 x 80 x 96) of the synthetic acceptance song."""
+    directory = tmp_path_factory.mktemp("ae") / "song"
+    grid, _ = synthetic.write_song_dir(directory)
+    signal = features.load_wav(str(directory / "audio.wav"))
+    tf = bars.barwise_tf(features.FeatureFrames(signal, "nnlms"), grid)
+    return np.stack([tf.bar_patch(i) for i in range(tf.n_bars)])
+
+
+class TestMatchesNCHWReference:
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("n_bins,subdivision,d_c", [(80, 96, 8), (12, 16, 3), (10, 8, 2)])
+    def test_backward_batch_byte_equal(self, n_bins, subdivision, d_c, batch):
+        # Three SGD steps, so the biases move off zero. The zero-padded rows
+        # of the 10-bin shape and the ReLU zeros give max-pool ties.
+        net = ae.init_network(n_bins, subdivision, d_c, seed=11)
+        ref = NCHWNetwork(net)
+        x = np.random.default_rng(12).random((batch, n_bins, subdivision))
+        for step in range(3):
+            grads, loss = net.backward_batch(x)
+            ref_grads, ref_loss = ref.backward_batch(x)
+            assert loss == ref_loss, f"step {step}"
+            assert sorted(grads) == sorted(ref_grads)
+            for name in grads:
+                assert_same_bytes(grads[name], ref_grads[name], f"step {step} {name}")
+            for params, g in ((net.parameters(), grads), (ref.parameters(), ref_grads)):
+                for name, p in params.items():
+                    p -= 0.01 * g[name]
+
+    def test_forward_byte_equal(self):
+        net = ae.init_network(10, 8, 2, seed=13)
+        x = np.random.default_rng(14).random((5, 10, 8))
+        z, x_hat = net.forward_batch(x)
+        ref_z, ref_x_hat = NCHWNetwork(net).forward_batch(x)
+        assert_same_bytes(z, ref_z, "z")
+        assert_same_bytes(x_hat, ref_x_hat, "x_hat")
+
+    def test_train_single_song_byte_equal(self, acceptance_bars):
+        cfg = ae.AEConfig(d_c=8, seed=42, max_epochs=30)
+        result = ae.train_single_song(acceptance_bars, cfg)
+        embedding, trace, best_loss, epochs_run = nchw_train_single_song(acceptance_bars, cfg)
+        assert_same_bytes(result.loss_trace, trace, "loss_trace")
+        assert_same_bytes(result.embedding, embedding, "embedding")
+        assert result.best_loss == best_loss
+        assert result.epochs_run == epochs_run == 30

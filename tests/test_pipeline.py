@@ -187,6 +187,27 @@ class TestDegenerateInput:
         for path in results:
             assert json.loads(path.read_text())["boundaries_bars"] == [0, 8]
 
+    @pytest.mark.parametrize("compressor", ["pca", "nmf"])
+    def test_fewer_bars_than_dc_fails_before_features(self, tmp_path, monkeypatch, compressor):
+        synthetic.write_song_dir(tmp_path / "six", "AAABBB")
+
+        def no_features(*args, **kwargs):
+            raise AssertionError("features were computed")
+
+        monkeypatch.setattr(pipeline.features, "FeatureFrames", no_features)
+        cfg = make_config(tmp_path / "six", tmp_path / "out", compressor=compressor, d_c=8)
+        with pytest.raises(ValueError, match=rf"^{compressor} needs d_c <= the number of bars, "
+                                             r"but d_c=8 and song 'audio' has 6 bars$"):
+            pipeline.run_song(cfg)
+        assert not (tmp_path / "out").exists()
+
+    def test_fewer_bars_than_dc_allowed_for_ae_and_at_dc_equal_b(self, tmp_path):
+        synthetic.write_song_dir(tmp_path / "six", "AAABBB")
+        for compressor, d_c in (("ae", 8), ("pca", 6), ("nmf", 6)):
+            cfg = make_config(tmp_path / "six", tmp_path / compressor, compressor=compressor, d_c=d_c,
+                              ae_max_epochs=1)
+            assert pipeline.run_song(cfg).boundaries_bars[-1] == 6
+
 
 class TestPipelineConfig:
     def test_unknown_feature_rejected(self):

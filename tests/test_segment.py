@@ -2,11 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from barseg import segment
+
+from dp_oracle import enumerate_best_score
 
 
 def brute_force_best(A, max_segment=32):
@@ -103,6 +105,24 @@ class TestCosineAutosimilarityProperties:
         Z[:, j] = 0.0
         A = segment.cosine_autosimilarity(Z)
         assert np.all(A[j, :] == 0.0) and np.all(A[:, j] == 0.0)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """b x b symmetric A with b <= 14, entries in [-1, 1] and a unit diagonal."""
+    b = draw(st.integers(1, 14))
+    M = draw(arrays(np.float64, (b, b), elements=st.floats(-1.0, 1.0)))
+    A = (M + M.T) / 2
+    np.fill_diagonal(A, 1.0)
+    return A
+
+
+class TestDpOracleProperty:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(symmetric_matrices())
+    def test_dp_score_equals_exhaustive_oracle(self, A):
+        assume(segment.compute_ck8max(A) > 0)
+        assert abs(segment.dp_segment(A).total_score - enumerate_best_score(A)) <= 1e-12
 
 
 class TestKernelPenalty:
