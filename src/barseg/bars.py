@@ -79,6 +79,24 @@ def load_downbeats(path):
     return BarGrid(np.array(times))
 
 
+def downbeat_frames(downbeats, frames_per_second, n_frames):
+    """Frame nearest each downbeat time, capped at n_frames."""
+    return np.minimum(np.rint(downbeats * frames_per_second).astype(np.int64), n_frames)
+
+
+def drop_bars_past_end(grid, frames_per_second, n_frames):
+    """The grid without the bars that start at or past the last frame.
+
+    Such bars hold at most one frame of audio. Returns the cut grid and the
+    number of bars dropped; fails if no bar starts before the last frame.
+    """
+    starts = downbeat_frames(grid.downbeats[:-1], frames_per_second, n_frames)
+    kept = int(np.count_nonzero(starts < n_frames - 1))
+    if kept == 0:
+        raise ValueError(f"all {grid.n_bars} bars start at or past the last frame ({n_frames - 1})")
+    return BarGrid(grid.downbeats[:kept + 1]), grid.n_bars - kept
+
+
 def select_frames(f_start, f_end, subdivision):
     """Indices of `subdivision` equally spaced frames in [f_start, f_end).
 
@@ -103,8 +121,7 @@ def barwise_tf(spec, grid, subdivision=DEFAULT_SUBDIVISION):
     downbeat are ignored.
     """
     frames_per_second = spec.sample_rate / spec.hop
-    edges = np.rint(grid.downbeats * frames_per_second).astype(np.int64)
-    edges = np.minimum(edges, spec.n_frames)
+    edges = downbeat_frames(grid.downbeats, frames_per_second, spec.n_frames)
     if edges[0] >= spec.n_frames:
         raise ValueError("first downbeat lies past the end of the spectrogram")
     plan = np.empty((grid.n_bars, subdivision), dtype=np.int64)

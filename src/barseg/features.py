@@ -6,6 +6,9 @@ reflect padding. Five representations are derived from the power STFT:
 chromagram (12 pitch classes), Mel spectrogram (80 bands, 80Hz-16kHz),
 its log (LMS) and nonnegative log (NNLMS) variants, and MFCC (32
 coefficients from an internal 128-band full-range log-Mel basis).
+
+`FeatureFrames` computes a feature at chosen frames only, 256 frames at a
+time, from samples to feature before the next chunk.
 """
 
 import warnings
@@ -18,6 +21,8 @@ import scipy.io.wavfile
 DEFAULT_N_FFT = 2048
 DEFAULT_HOP = 32
 LOG_FLOOR = 1e-10
+N_MELS, MEL_FMIN, MEL_FMAX = 80, 80.0, 16000.0
+MFCC_BANDS, N_MFCC = 128, 32
 
 FEATURE_KINDS = ("stft_power", "chroma", "mel", "lms", "nnlms", "mfcc")
 
@@ -101,30 +106,86 @@ def _hann_window(n_fft):
     return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n_fft + 1)[:-1])
 
 
-def _power_at(signal, frames, n_fft, hop):
-    """Power STFT columns at the given frame indices, in their order.
+# Frames per chunk. Each chunk goes from samples to its feature before the
+# next one starts, so only the f x frames output grows with the number of
+# frames. At n_fft=2048 a chunk's temporaries are 4 MB each; 256 frames ran
+# 2.3x faster than 4096 on a 2-core x86-64 host.
+_CHUNK = 256
 
-    Frame t is centered on sample t*hop; samples before the start or past
-    the end are reflected, as np.pad(mode="reflect") would give them.
+
+def _chunks(n):
+    """(start, stop) of each chunk of n frames.
+
+    Chunks start at multiples of _CHUNK and span at least _CHUNK frames:
+    the last partial chunk joins the one before it, and fewer than _CHUNK
+    frames make one chunk. A GEMM over a few columns can take another
+    OpenBLAS kernel, which rounds differently, so a short tail chunk would
+    change the last columns of `fb @ power`. With the tail merged, the
+    chunks' GEMMs give the bytes of one GEMM over all frames at one BLAS
+    thread. With more threads OpenBLAS splits a GEMM's columns at points
+    set by its width, so the last bits then vary, as they vary between
+    thread counts.
     """
-    x = signal.samples
+    starts = list(range(0, n, _CHUNK))
+    if len(starts) > 1 and n - starts[-1] < _CHUNK:
+        del starts[-1]
+    return zip(starts, starts[1:] + [n])
+
+
+def _power_chunks(x, frames, n_fft, hop):
+    """Power STFT of `x` at the given frame indices, one chunk at a time.
+
+    Yields (start, stop, power), where power is the (n_fft/2 + 1) x
+    (stop - start) block for frames[start:stop], in their order. The block
+    lives in one buffer that the next chunk overwrites.
+
+    Frame t is centered on sample t*hop. A frame wholly inside the signal
+    is row t*hop - n_fft//2 of a sliding-window view of it; a chunk that
+    reaches past either end gathers reflected indices instead, as
+    np.pad(mode="reflect") would give them.
+    """
     n = len(x)
-    offsets = np.arange(n_fft) - n_fft // 2
+    half = n_fft // 2
     window = _hann_window(n_fft)
-    out = np.empty((n_fft // 2 + 1, len(frames)), dtype=np.float64)
-    # FFT in chunks to bound peak memory; 256 frames (4 MB per temporary at
-    # n_fft=2048) ran 2.3x faster than 4096 on a 2-core x86-64 host.
-    chunk = 256
-    for start in range(0, len(frames), chunk):
-        block = frames[start:start + chunk]
-        idx = block[:, None] * hop + offsets
-        # Only the chunks that reach past either end of the signal reflect.
-        if idx[:, 0].min() < 0 or idx[:, -1].max() >= n:
-            idx = np.abs(idx)
-            idx = np.where(idx >= n, 2 * (n - 1) - idx, idx)
-        spectrum = np.fft.rfft(x[idx] * window, axis=1)
-        out[:, start:start + len(block)] = (spectrum.real**2 + spectrum.imag**2).T
-    return out
+    rows = np.lib.stride_tricks.sliding_window_view(x, n_fft) if n >= n_fft else None
+    buffer = np.empty((half + 1) * 2 * _CHUNK)
+    for start, stop in _chunks(len(frames)):
+        first = frames[start:stop] * hop - half
+        if rows is not None and first.min() >= 0 and first.max() < len(rows):
+            framed = rows[first]
+        else:
+            idx = np.abs(first[:, None] + np.arange(n_fft))
+            framed = x[np.where(idx >= n, 2 * (n - 1) - idx, idx)]
+        framed *= window
+        spectrum = np.fft.rfft(framed, axis=1)
+        power = buffer[:spectrum.size].reshape(half + 1, stop - start)
+        power[...] = (spectrum.real**2 + spectrum.imag**2).T
+        yield start, stop, power
+
+
+def _feature_of_power(kind, n_fft, sample_rate):
+    """Row count of a feature, and the function giving it from a power block.
+
+    Filterbanks and pitch classes are built here, once. Each function is
+    the arithmetic of the named feature function below, column by column.
+    The filterbank GEMMs use all n_fft/2 + 1 bins, even those every band
+    weights by zero: a GEMM over fewer bins sums in another order and is
+    not byte-equal.
+    """
+    if kind == "stft_power":
+        return n_fft // 2 + 1, lambda power: power
+    if kind == "chroma":
+        classes = _pitch_class_bins(n_fft, sample_rate)
+        return 12, lambda power: _fold_pitch_classes(power, classes)
+    if kind == "mfcc":
+        fb, _ = mel_filterbank(MFCC_BANDS, n_fft, sample_rate, 0.0, sample_rate / 2)
+        return N_MFCC, lambda power: mfcc_from_log_mel(_decibels(fb @ power), N_MFCC)
+    fb, _ = mel_filterbank(N_MELS, n_fft, sample_rate, MEL_FMIN, MEL_FMAX)
+    if kind == "lms":
+        return N_MELS, lambda power: _decibels(fb @ power)
+    if kind == "nnlms":
+        return N_MELS, lambda power: np.log1p(fb @ power)
+    return N_MELS, lambda power: fb @ power
 
 
 class FeatureFrames:
@@ -153,26 +214,19 @@ class FeatureFrames:
         self.n_frames = 1 + len(signal.samples) // hop
 
     def at(self, frames):
-        """f x len(frames) feature values at the given frame indices."""
+        """f x len(frames) feature values at the given frame indices.
+
+        Each chunk of frames is reduced to its feature before the next
+        chunk's STFT, so memory beyond the output stays bounded.
+        """
         frames = np.asarray(frames, dtype=np.int64)
         if frames.size and not (0 <= frames.min() and frames.max() < self.n_frames):
             raise IndexError(f"frame indices must lie in [0, {self.n_frames})")
-        power = Spectrogram(
-            _power_at(self.signal, frames, self.n_fft, self.hop),
-            hop=self.hop, sample_rate=self.sample_rate, feature_kind="stft_power",
-        )
-        if self.feature_kind == "stft_power":
-            return power.values
-        if self.feature_kind == "chroma":
-            return chroma(power).values
-        if self.feature_kind == "mfcc":
-            return mfcc(power).values
-        mel = mel_spectrogram(power)
-        if self.feature_kind == "lms":
-            return lms(mel).values
-        if self.feature_kind == "nnlms":
-            return nnlms(mel).values
-        return mel.values
+        n_rows, feature_of = _feature_of_power(self.feature_kind, self.n_fft, self.sample_rate)
+        out = np.empty((n_rows, len(frames)))
+        for start, stop, power in _power_chunks(self.signal.samples, frames, self.n_fft, self.hop):
+            out[:, start:stop] = feature_of(power)
+        return out
 
 
 def stft_power(signal, n_fft=DEFAULT_N_FFT, hop=DEFAULT_HOP):
@@ -216,7 +270,7 @@ def mel_filterbank(n_mels, n_fft, sample_rate, fmin, fmax):
     return fb, hz_points[1:-1]
 
 
-def mel_spectrogram(power, n_mels=80, fmin=80.0, fmax=16000.0):
+def mel_spectrogram(power, n_mels=N_MELS, fmin=MEL_FMIN, fmax=MEL_FMAX):
     """Apply a triangular mel filterbank to a power STFT."""
     if power.feature_kind != "stft_power":
         raise ValueError(f"mel_spectrogram needs a power STFT, got {power.feature_kind!r}")
@@ -225,12 +279,15 @@ def mel_spectrogram(power, n_mels=80, fmin=80.0, fmax=16000.0):
     return Spectrogram(fb @ power.values, hop=power.hop, sample_rate=power.sample_rate, feature_kind="mel")
 
 
+def _decibels(values):
+    return 10.0 * np.log10(np.maximum(values, LOG_FLOOR))
+
+
 def lms(mel):
     """Log mel spectrogram in dB: 10*log10(mel), floored at 1e-10."""
     if mel.feature_kind != "mel":
         raise ValueError(f"lms needs a mel spectrogram, got {mel.feature_kind!r}")
-    values = 10.0 * np.log10(np.maximum(mel.values, LOG_FLOOR))
-    return Spectrogram(values, hop=mel.hop, sample_rate=mel.sample_rate, feature_kind="lms")
+    return Spectrogram(_decibels(mel.values), hop=mel.hop, sample_rate=mel.sample_rate, feature_kind="lms")
 
 
 def nnlms(mel):
@@ -238,6 +295,25 @@ def nnlms(mel):
     if mel.feature_kind != "mel":
         raise ValueError(f"nnlms needs a mel spectrogram, got {mel.feature_kind!r}")
     return Spectrogram(np.log1p(mel.values), hop=mel.hop, sample_rate=mel.sample_rate, feature_kind="nnlms")
+
+
+def _pitch_class_bins(n_fft, sample_rate):
+    """For each pitch class C..B, the STFT bins above DC nearest to it.
+
+    A bin's class is the equal-tempered pitch class nearest its center
+    frequency (A4 = 440Hz).
+    """
+    bin_freqs = np.arange(1, n_fft // 2 + 1) * sample_rate / n_fft
+    pitch_class = np.mod(np.rint(69.0 + 12.0 * np.log2(bin_freqs / 440.0)).astype(int), 12)
+    return [1 + np.flatnonzero(pitch_class == pc) for pc in range(12)]
+
+
+def _fold_pitch_classes(power_values, classes):
+    out = np.zeros((12, power_values.shape[1]))
+    for pc, rows in enumerate(classes):
+        if rows.size:
+            out[pc] = power_values[rows].sum(axis=0)
+    return out
 
 
 def chroma(power):
@@ -248,27 +324,18 @@ def chroma(power):
     """
     if power.feature_kind != "stft_power":
         raise ValueError(f"chroma needs a power STFT, got {power.feature_kind!r}")
-    n_fft = 2 * (power.n_bins - 1)
-    bin_freqs = np.arange(power.n_bins) * power.sample_rate / n_fft
-    out = np.zeros((12, power.n_frames))
-    positive = bin_freqs > 0
-    midi = 69.0 + 12.0 * np.log2(bin_freqs[positive] / 440.0)
-    pitch_class = np.mod(np.rint(midi).astype(int), 12)
-    vals = power.values[positive]
-    for pc in range(12):
-        rows = pitch_class == pc
-        if np.any(rows):
-            out[pc] = vals[rows].sum(axis=0)
+    classes = _pitch_class_bins(2 * (power.n_bins - 1), power.sample_rate)
+    out = _fold_pitch_classes(power.values, classes)
     return Spectrogram(out, hop=power.hop, sample_rate=power.sample_rate, feature_kind="chroma")
 
 
-def mfcc_from_log_mel(log_mel_values, n_coeffs=32):
+def mfcc_from_log_mel(log_mel_values, n_coeffs=N_MFCC):
     """Orthonormal DCT-II over the band axis, keeping the first n_coeffs."""
     coeffs = scipy.fft.dct(np.asarray(log_mel_values, dtype=np.float64), type=2, norm="ortho", axis=0)
     return coeffs[:n_coeffs]
 
 
-def mfcc(power, n_coeffs=32):
+def mfcc(power, n_coeffs=N_MFCC):
     """MFCCs from an internal 128-band full-range log mel basis.
 
     The mel basis here (128 bands, 0Hz to Nyquist) deliberately differs
@@ -277,9 +344,8 @@ def mfcc(power, n_coeffs=32):
     if power.feature_kind != "stft_power":
         raise ValueError(f"mfcc needs a power STFT, got {power.feature_kind!r}")
     n_fft = 2 * (power.n_bins - 1)
-    fb, _ = mel_filterbank(128, n_fft, power.sample_rate, 0.0, power.sample_rate / 2)
-    log_mel = 10.0 * np.log10(np.maximum(fb @ power.values, LOG_FLOOR))
-    values = mfcc_from_log_mel(log_mel, n_coeffs)
+    fb, _ = mel_filterbank(MFCC_BANDS, n_fft, power.sample_rate, 0.0, power.sample_rate / 2)
+    values = mfcc_from_log_mel(_decibels(fb @ power.values), n_coeffs)
     return Spectrogram(values, hop=power.hop, sample_rate=power.sample_rate, feature_kind="mfcc")
 
 

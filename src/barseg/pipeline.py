@@ -10,6 +10,7 @@ import contextlib
 import os
 import time
 import traceback
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -44,6 +45,8 @@ class PipelineConfig:
             raise ValueError(f"unknown compressor {self.compressor!r}")
         if self.compressor != "none" and self.d_c < 1:
             raise ValueError("d_c is required unless compressor=none")
+        if not (self.n_fft >= self.hop >= 1):
+            raise ValueError(f"need n_fft >= hop >= 1, got n_fft={self.n_fft}, hop={self.hop}")
 
     def echo(self):
         d = asdict(self)
@@ -123,6 +126,12 @@ def run_song(cfg, song_id=None):
     with _stage("load", timings):
         signal = features.load_wav(cfg.audio_path)
         grid = bars.load_downbeats(cfg.downbeats_path)
+        # Downbeats past the audio end would give bars with no frames.
+        n_frames = 1 + len(signal.samples) // cfg.hop
+        grid, dropped = bars.drop_bars_past_end(grid, signal.sample_rate / cfg.hop, n_frames)
+    if dropped:
+        warnings.warn(f"song {song_id!r}: dropped {dropped} bars that start at or past the audio end",
+                      stacklevel=2)
     # PCA and NMF give at most one component per bar; the AE's d_c is
     # bounded by its bottleneck instead. Fail before paying for features.
     if cfg.compressor in ("pca", "nmf") and cfg.d_c > grid.n_bars:

@@ -125,8 +125,15 @@ def dp_segment(A, max_segment=DEFAULT_MAX_SEGMENT):
 
     best(i) = max over j in [max(0, i - max_segment), i) of
     best(j) + score(j, i); ties go to the larger j (shorter last segment).
-    A degenerate autosimilarity (c_k8_max <= 0, e.g. a silent song) gives
-    one segment with a warning.
+
+    A nonpositive c_k8_max leaves no scale to normalize by. This happens
+    when bars are mostly anti-correlated, as PCA's centering makes two
+    alternating sections. If A is not all zero, the DP then segments the
+    rescaled cosine (A+1)/2, which maps [-1, 1] onto [0, 1], and warns;
+    Marmoret, Cohen & Bimbot (TISMIR 2023, "Barwise Music Structure
+    Analysis with the Correlation Block-Matching Segmentation Algorithm")
+    compare such choices of autosimilarity. An all-zero A (a silent song)
+    gives one segment with a warning.
     """
     b = A.shape[0]
     if b < 1:
@@ -135,6 +142,11 @@ def dp_segment(A, max_segment=DEFAULT_MAX_SEGMENT):
         # Only one segmentation exists; no scoring needed.
         return Segmentation(np.array([0, 1]), total_score=0.0)
     c_k8_max = compute_ck8max(A)
+    if c_k8_max <= 0 and np.any(A):
+        warnings.warn(f"c_k8_max={c_k8_max} is not positive; segmenting the rescaled cosine (A+1)/2",
+                      stacklevel=2)
+        A = (A + 1.0) / 2.0
+        c_k8_max = compute_ck8max(A)
     if c_k8_max <= 0:
         warnings.warn(f"degenerate autosimilarity: c_k8_max={c_k8_max} is not positive; one segment", stacklevel=2)
         return Segmentation(np.array([0, b]), total_score=0.0)

@@ -111,6 +111,18 @@ class TestBarwiseTF:
         with pytest.raises(ValueError, match="bar 1"):
             bars.barwise_tf(spec, grid, subdivision=4)
 
+    def test_bars_from_the_last_frame_on_are_dropped(self):
+        # 10 frames a second, 11 frames: the last frame is 10, at 1.0 s.
+        grid = bars.BarGrid([0.0, 0.5, 0.94, 0.96, 1.2, 1.4])
+        cut, dropped = bars.drop_bars_past_end(grid, 10.0, 11)
+        # Bar 2 starts at frame 9 and is kept; bar 3 starts at frame 10.
+        assert cut.downbeats.tolist() == [0.0, 0.5, 0.94, 0.96]
+        assert dropped == 2
+        same, none_dropped = bars.drop_bars_past_end(cut, 10.0, 11)
+        assert same.downbeats.tolist() == cut.downbeats.tolist() and none_dropped == 0
+        with pytest.raises(ValueError, match=r"all 2 bars start at or past the last frame \(10\)"):
+            bars.drop_bars_past_end(bars.BarGrid([1.0, 1.5, 2.0]), 10.0, 11)
+
     def test_bar_permutation_permutes_rows(self):
         rng = np.random.default_rng(2)
         bar_a = rng.random((4, 50))

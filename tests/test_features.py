@@ -1,6 +1,8 @@
+import ctypes
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,84 @@ def padded_stft_power_reference(samples, n_fft, hop):
     frames = np.stack([padded[t * hop:t * hop + n_fft] for t in range(1 + len(samples) // hop)])
     spectrum = np.fft.rfft(frames * window, axis=1)
     return (spectrum.real**2 + spectrum.imag**2).T
+
+
+def power_at_reference(signal, frames, n_fft, hop):
+    """The power STFT at the given frames as one full array.
+
+    A copy of the loop that `features._power_chunks` replaced: a gather of
+    reflected indices per 256-frame chunk, stored into one
+    (n_fft/2 + 1) x len(frames) array.
+    """
+    x = signal.samples
+    n = len(x)
+    offsets = np.arange(n_fft) - n_fft // 2
+    window = features._hann_window(n_fft)
+    out = np.empty((n_fft // 2 + 1, len(frames)), dtype=np.float64)
+    chunk = 256
+    for start in range(0, len(frames), chunk):
+        block = frames[start:start + chunk]
+        idx = block[:, None] * hop + offsets
+        if idx[:, 0].min() < 0 or idx[:, -1].max() >= n:
+            idx = np.abs(idx)
+            idx = np.where(idx >= n, 2 * (n - 1) - idx, idx)
+        spectrum = np.fft.rfft(x[idx] * window, axis=1)
+        out[:, start:start + len(block)] = (spectrum.real**2 + spectrum.imag**2).T
+    return out
+
+
+def feature_at_reference(signal, kind, frames, n_fft, hop):
+    """The feature at the given frames: the full power array, then the Spectrogram functions."""
+    power = features.Spectrogram(
+        power_at_reference(signal, frames, n_fft, hop), hop, signal.sample_rate, "stft_power"
+    )
+    if kind == "stft_power":
+        return power.values
+    if kind == "chroma":
+        return features.chroma(power).values
+    if kind == "mfcc":
+        return features.mfcc(power).values
+    mel = features.mel_spectrogram(power)
+    return {"mel": mel, "lms": features.lms(mel), "nnlms": features.nnlms(mel)}[kind].values
+
+
+def _openblas_thread_setter():
+    """(get, set) for the thread count of NumPy's OpenBLAS, or None if it cannot be found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    for lib in libs:
+        dll = ctypes.CDLL(lib)
+        for suffix in ("64_", ""):
+            get = getattr(dll, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(dll, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype = ctypes.c_int
+                put.argtypes = [ctypes.c_int]
+                return get, put
+    return None
+
+
+@pytest.fixture
+def one_blas_thread():
+    """Run the test with NumPy's OpenBLAS at one thread.
+
+    A threaded GEMM splits its columns among threads at points that depend
+    on its width, so one wide GEMM and several narrow ones round a few
+    columns differently. At one thread they agree.
+    """
+    setter = _openblas_thread_setter()
+    if setter is None:
+        pytest.skip("cannot set the OpenBLAS thread count")
+    get, put = setter
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 class TestLoadWav:
@@ -150,6 +230,61 @@ class TestStftPower:
         code = "import sys, barseg; sys.exit('scipy.signal' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": src}
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+# The default grid, odd hops, hop == n_fft, and a 33-bin STFT.
+FFT_HOP_PAIRS = [(2048, 32), (1024, 3), (512, 7), (256, 256), (2048, 2048), (64, 1)]
+
+
+class TestFeatureFramesChunks:
+    @pytest.mark.parametrize("n_fft, hop", FFT_HOP_PAIRS)
+    @pytest.mark.parametrize("kind", features.FEATURE_KINDS)
+    def test_at_equals_whole_array_reference(self, one_blas_thread, kind, n_fft, hop):
+        sig = features.AudioSignal(np.random.default_rng(8).uniform(-1, 1, 40000), 44100)
+        feature = features.FeatureFrames(sig, kind, n_fft=n_fft, hop=hop)
+        last = feature.n_frames - 1
+        rng = np.random.default_rng(n_fft + hop)
+        # Counts around one and two chunks of 256, and a partial last chunk.
+        frame_lists = [rng.integers(0, feature.n_frames, count) for count in (1, 255, 256, 257, 511, 700, 3075)]
+        frame_lists += [
+            np.array([0, 1, last - 1, last, 0, last, 2]),  # reflected at both ends
+            np.repeat(rng.integers(0, feature.n_frames, 300), 3),  # repeated
+            rng.permutation(feature.n_frames)[::-1],  # unsorted, every frame
+        ]
+        # OpenBLAS runs a GEMM of at most 10^6 multiply-adds through a
+        # small-matrix kernel that rounds its trailing columns differently.
+        # With 80 mel bands and 33 bins, a last chunk narrower than 379
+        # frames takes that kernel where one GEMM over all frames does not.
+        exact = not (n_fft == 64 and kind in ("mel", "lms", "nnlms"))
+        for frames in frame_lists:
+            got = feature.at(frames)
+            expected = feature_at_reference(sig, kind, frames, n_fft, hop)
+            assert got.shape == expected.shape
+            if exact:
+                assert got.tobytes() == expected.tobytes(), f"{len(frames)} frames"
+            else:
+                np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("kind", features.FEATURE_KINDS)
+    def test_no_frames_give_an_empty_matrix(self, kind):
+        sig = features.AudioSignal(np.random.default_rng(9).uniform(-1, 1, 5000), 44100)
+        expected = features.compute_feature(sig, kind).values[:, :0]
+        got = features.FeatureFrames(sig, kind).at([])
+        assert isinstance(got, np.ndarray) and got.shape == expected.shape
+
+    def test_peak_memory_stays_below_half_the_power_array(self):
+        # 11,520 frames: the 120 bars of 96 frames of a four-minute song.
+        n_frames = 11520
+        x = np.random.default_rng(10).uniform(-1, 1, n_frames * 32 + 4096)
+        feature = features.FeatureFrames(features.AudioSignal(x, 44100), "nnlms")
+        frames = np.arange(n_frames)
+        tracemalloc.start()
+        try:
+            feature.at(frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1025 * n_frames * 8 / 2
 
 
 class TestMel:

@@ -139,9 +139,10 @@ class TestRunSong:
             scipy.io.wavfile.write(path, 44100, np.zeros(100, dtype=np.int16))
             overrides["audio_path"] = str(path)
         elif stage == "barwise_tf":
+            # Two downbeats less than one frame apart give a bar with no frames.
             path = tmp_path / "downbeats.txt"
-            last = float((short_song_dir / "downbeats.txt").read_text().split()[-1])
-            path.write_text((short_song_dir / "downbeats.txt").read_text() + f"{last + 1}\n{last + 2}\n")
+            times = (short_song_dir / "downbeats.txt").read_text().split()
+            path.write_text("\n".join([times[0], "0.0001", *times[1:]]) + "\n")
             overrides["downbeats_path"] = str(path)
         elif stage == "evaluation":
             path = tmp_path / "annotations.txt"
@@ -173,9 +174,10 @@ class TestDegenerateInput:
         assert json.loads((tmp_path / "audio.result.json").read_text())["boundaries_bars"] == [0, 16]
 
     @pytest.mark.parametrize("dc_args", [[], ["--dc-sweep", "2,3"]])
-    def test_eight_bar_song_is_one_segment(self, short_song_dir, tmp_path, capsys, dc_args):
-        # PCA of 8 bars gives negative cosines, and c_k8_max < 0 over the one window.
-        with pytest.warns(UserWarning, match="c_k8_max=-"):
+    def test_eight_bar_pca_song_splits_at_its_sections(self, short_song_dir, tmp_path, capsys, dc_args):
+        # PCA of AAAABBBB makes the A and B bars anti-correlated, so
+        # c_k8_max < 0 over the one window; the DP segments (A+1)/2.
+        with pytest.warns(UserWarning, match=r"c_k8_max=-.* rescaled cosine \(A\+1\)/2"):
             rc = cli.main([
                 "segment", str(short_song_dir / "audio.wav"),
                 "--downbeats", str(short_song_dir / "downbeats.txt"),
@@ -185,7 +187,20 @@ class TestDegenerateInput:
         results = sorted(tmp_path.rglob("audio.result.json"))
         assert len(results) == (2 if dc_args else 1)
         for path in results:
-            assert json.loads(path.read_text())["boundaries_bars"] == [0, 8]
+            assert json.loads(path.read_text())["boundaries_bars"] == [0, 4, 8]
+
+    def test_downbeats_past_the_audio_end_are_dropped(self, short_song_dir, tmp_path):
+        path = tmp_path / "downbeats.txt"
+        text = (short_song_dir / "downbeats.txt").read_text()
+        last = float(text.split()[-1])
+        path.write_text(text + f"{last + 1}\n{last + 2}\n")
+        cfg = make_config(short_song_dir, tmp_path / "out", compressor="none", downbeats_path=str(path))
+        with pytest.warns(UserWarning, match=r"^song 'audio': dropped 2 bars that start at or past the audio end$"):
+            result = pipeline.run_song(cfg)
+        expected = pipeline.run_song(make_config(short_song_dir, tmp_path / "ref", compressor="none"))
+        assert result.boundaries_bars == expected.boundaries_bars == [0, 4, 8]
+        assert result.boundaries_seconds == expected.boundaries_seconds
+        assert result.total_score == expected.total_score
 
     @pytest.mark.parametrize("compressor", ["pca", "nmf"])
     def test_fewer_bars_than_dc_fails_before_features(self, tmp_path, monkeypatch, compressor):
@@ -217,6 +232,11 @@ class TestPipelineConfig:
     def test_unknown_compressor_rejected(self):
         with pytest.raises(ValueError, match="compressor"):
             pipeline.PipelineConfig(compressor="svd")
+
+    @pytest.mark.parametrize("n_fft, hop", [(2048, 0), (16, 32)])
+    def test_bad_stft_grid_rejected(self, n_fft, hop):
+        with pytest.raises(ValueError, match=rf"need n_fft >= hop >= 1, got n_fft={n_fft}, hop={hop}"):
+            pipeline.PipelineConfig(n_fft=n_fft, hop=hop)
 
     def test_config_echo_round_trips(self):
         cfg = pipeline.PipelineConfig(feature="mel", compressor="none", d_c=4)

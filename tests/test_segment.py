@@ -254,6 +254,21 @@ class TestDpSegment:
         assert bounds == [0, 8]
         assert seg.total_score == pytest.approx(score, abs=1e-12)
 
+    def test_anticorrelated_sections_segment_the_rescaled_cosine(self):
+        # Two 4-bar sections at cosine -1 to each other: c_k8_max < 0.
+        A = np.ones((8, 8))
+        A[:4, 4:] = A[4:, :4] = -1.0
+        assert segment.compute_ck8max(A) < 0
+        with pytest.warns(UserWarning, match=r"^c_k8_max=-0\.\d+ is not positive; segmenting the rescaled cosine"):
+            seg = segment.dp_segment(A)
+        assert np.array_equal(seg.boundaries_bars, [0, 4, 8])
+        assert seg.total_score == segment.dp_segment((A + 1.0) / 2.0).total_score
+
+    def test_all_zero_autosimilarity_is_one_segment(self):
+        with pytest.warns(UserWarning, match=r"c_k8_max=0\.0 is not positive; one segment"):
+            seg = segment.dp_segment(np.zeros((8, 8)))
+        assert np.array_equal(seg.boundaries_bars, [0, 8]) and seg.total_score == 0.0
+
     def test_single_bar(self):
         seg = segment.dp_segment(np.ones((1, 1)))
         assert np.array_equal(seg.boundaries_bars, [0, 1])
