@@ -19,18 +19,17 @@ def main():
           f"{grid.n_bars} bars")
 
     for kind in ("chroma", "mel", "lms", "nnlms", "mfcc"):
-        spec = features.compute_feature(signal, kind)
-        v = spec.values
+        v = features.compute_feature(signal, kind)
         print(f"{kind:>6}: {v.shape[0]:3d} bins x {v.shape[1]} frames, "
               f"range [{v.min():.3f}, {v.max():.3f}]")
 
     # Chroma concentrates energy on the pitch classes of the chord being
     # played; show the dominant pitch class per bar.
     chroma = features.compute_feature(signal, "chroma")
-    frames_per_bar = chroma.n_frames // grid.n_bars
+    frames_per_bar = chroma.shape[1] // grid.n_bars
     names = ["C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B"]
     for bar in range(grid.n_bars):
-        block = chroma.values[:, bar * frames_per_bar:(bar + 1) * frames_per_bar]
+        block = chroma[:, bar * frames_per_bar:(bar + 1) * frames_per_bar]
         top = int(np.argmax(block.sum(axis=1)))
         print(f"bar {bar}: dominant pitch class {names[top]}")
 

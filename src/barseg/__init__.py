@@ -16,18 +16,7 @@ from .evaluate import (
     hit_rate,
     load_annotations,
 )
-from .features import (
-    AudioSignal,
-    Spectrogram,
-    chroma,
-    compute_feature,
-    lms,
-    load_wav,
-    mel_spectrogram,
-    mfcc,
-    nnlms,
-    stft_power,
-)
+from .features import AudioSignal, compute_feature, load_wav
 from .lowrank import LowRankModel, nmf_compress, pca_compress
 from .pipeline import PipelineConfig, SongResult, run_batch, run_song
 from .segment import (

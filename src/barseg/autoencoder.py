@@ -516,15 +516,3 @@ def train_single_song(bars, cfg):
     net.set_state(best_state)
     embedding = net.encode_batch(bars).T
     return TrainResult(net, embedding, np.asarray(trace), best_loss, epochs_run)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def write_loss_trace_csv(path, trace):
-    with open(path, "w") as fh:
-        fh.write("epoch,loss\n")
-        for i, v in enumerate(trace):
-            fh.write(f"{i},{format(float(v), '.17g')}\n")

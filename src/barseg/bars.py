@@ -115,10 +115,9 @@ def select_frames(f_start, f_end, subdivision):
 def barwise_tf(spec, grid, subdivision=DEFAULT_SUBDIVISION):
     """Build the b x (f*s) barwise TF matrix from a feature and bar grid.
 
-    `spec` is a `Spectrogram` or a `FeatureFrames`; either is read only at
-    the b*s frames the bars select, through one `spec.at(...)` call. Bar
-    edges are the frames nearest each downbeat; frames past the last
-    downbeat are ignored.
+    `spec` is a `features.FeatureFrames`, read only at the b*s frames the
+    bars select, through one `spec.at(...)` call. Bar edges are the frames
+    nearest each downbeat; frames past the last downbeat are ignored.
     """
     frames_per_second = spec.sample_rate / spec.hop
     edges = downbeat_frames(grid.downbeats, frames_per_second, spec.n_frames)

@@ -77,15 +77,15 @@ def _add_common(parser, with_compressor=True):
 def cmd_features(args):
     cfg = _build_pipeline_config(args)
     signal = features.load_wav(cfg.audio_path)
-    spec = features.compute_feature(signal, cfg.feature, n_fft=cfg.n_fft, hop=cfg.hop)
+    values = features.compute_feature(signal, cfg.feature, n_fft=cfg.n_fft, hop=cfg.hop)
     out_dir = cfg.output_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(cfg.audio_path))[0]
     csv_path = os.path.join(out_dir, f"{stem}.{cfg.feature}.csv")
     bseg_path = os.path.join(out_dir, f"{stem}.{cfg.feature}.bseg")
-    matio.write_csv_matrix(csv_path, spec.values)
-    matio.write_bseg(bseg_path, spec.values)
-    print(f"{cfg.feature}: {spec.n_bins} bins x {spec.n_frames} frames -> {csv_path}, {bseg_path}")
+    matio.write_csv_matrix(csv_path, values)
+    matio.write_bseg(bseg_path, values)
+    print(f"{cfg.feature}: {values.shape[0]} bins x {values.shape[1]} frames -> {csv_path}, {bseg_path}")
     return 0
 
 

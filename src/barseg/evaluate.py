@@ -72,8 +72,8 @@ def hit_rate(est, ref, tol):
     each estimated boundary can claim at most one reference and vice
     versa. Empty inputs yield 0 with a warning.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     est_t = np.asarray(est.times if isinstance(est, BoundarySet) else est, dtype=np.float64)
     ref_t = np.asarray(ref.times if isinstance(ref, BoundarySet) else ref, dtype=np.float64)
     if len(est_t) == 0 or len(ref_t) == 0:

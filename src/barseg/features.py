@@ -7,8 +7,10 @@ chromagram (12 pitch classes), Mel spectrogram (80 bands, 80Hz-16kHz),
 its log (LMS) and nonnegative log (NNLMS) variants, and MFCC (32
 coefficients from an internal 128-band full-range log-Mel basis).
 
-`FeatureFrames` computes a feature at chosen frames only, 256 frames at a
-time, from samples to feature before the next chunk.
+Features come from `FeatureFrames`, which computes one at chosen frames
+only, 256 frames at a time, from samples to feature before the next
+chunk; or from `compute_feature`, at every frame. Both give plain f x T
+arrays.
 """
 
 import warnings
@@ -42,35 +44,6 @@ class AudioSignal:
             raise ValueError("AudioSignal expects a 1-D sample array")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("audio contains non-finite samples")
-
-
-@dataclass
-class Spectrogram:
-    """f x T feature matrix plus the frame metadata needed to map to time."""
-
-    values: np.ndarray
-    hop: int
-    sample_rate: int
-    feature_kind: str
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.feature_kind not in FEATURE_KINDS:
-            raise ValueError(f"unknown feature_kind {self.feature_kind!r}")
-        if self.values.ndim != 2:
-            raise ValueError("Spectrogram values must be a 2-D matrix")
-
-    @property
-    def n_bins(self):
-        return self.values.shape[0]
-
-    @property
-    def n_frames(self):
-        return self.values.shape[1]
-
-    def at(self, frames):
-        """f x len(frames) values at the given frame indices, as `FeatureFrames.at`."""
-        return self.values[:, frames]
 
 
 def load_wav(path):
@@ -166,11 +139,13 @@ def _power_chunks(x, frames, n_fft, hop):
 def _feature_of_power(kind, n_fft, sample_rate):
     """Row count of a feature, and the function giving it from a power block.
 
-    Filterbanks and pitch classes are built here, once. Each function is
-    the arithmetic of the named feature function below, column by column.
-    The filterbank GEMMs use all n_fft/2 + 1 bins, even those every band
-    weights by zero: a GEMM over fewer bins sums in another order and is
-    not byte-equal.
+    Filterbanks and pitch classes are built here, once. Chroma sums the
+    bin powers of each pitch class; mel applies the 80-band filterbank,
+    LMS takes 10*log10 of it floored at 1e-10 and NNLMS log(1 + mel);
+    MFCC is the DCT of a 128-band full-range log mel basis, which
+    deliberately differs from the 80-band one. The filterbank GEMMs use
+    all n_fft/2 + 1 bins, even those every band weights by zero: a GEMM
+    over fewer bins sums in another order and is not byte-equal.
     """
     if kind == "stft_power":
         return n_fft // 2 + 1, lambda power: power
@@ -191,9 +166,9 @@ def _feature_of_power(kind, n_fft, sample_rate):
 class FeatureFrames:
     """One feature of a signal, computed only at the frames asked for.
 
-    The frame grid is that of `stft_power`: 1 + floor(len/hop) centered
-    frames. `at(frames)` gives the same columns as
-    `compute_feature(...).values[:, frames]` without building the rest.
+    The frame grid has 1 + floor(len/hop) centered frames. `at(frames)`
+    gives the columns `compute_feature(...)[:, frames]` without building
+    the rest.
     """
 
     def __init__(self, signal, kind, n_fft=DEFAULT_N_FFT, hop=DEFAULT_HOP):
@@ -229,14 +204,6 @@ class FeatureFrames:
         return out
 
 
-def stft_power(signal, n_fft=DEFAULT_N_FFT, hop=DEFAULT_HOP):
-    """Power STFT: Hann window, centered frames with reflect padding.
-
-    Returns n_fft/2 + 1 bins and 1 + floor(len/hop) frames.
-    """
-    return compute_feature(signal, "stft_power", n_fft=n_fft, hop=hop)
-
-
 def _hz_to_mel(f):
     """Slaney mel scale: linear below 1kHz, logarithmic above."""
     f = np.asarray(f, dtype=np.float64)
@@ -270,31 +237,8 @@ def mel_filterbank(n_mels, n_fft, sample_rate, fmin, fmax):
     return fb, hz_points[1:-1]
 
 
-def mel_spectrogram(power, n_mels=N_MELS, fmin=MEL_FMIN, fmax=MEL_FMAX):
-    """Apply a triangular mel filterbank to a power STFT."""
-    if power.feature_kind != "stft_power":
-        raise ValueError(f"mel_spectrogram needs a power STFT, got {power.feature_kind!r}")
-    n_fft = 2 * (power.n_bins - 1)
-    fb, _ = mel_filterbank(n_mels, n_fft, power.sample_rate, fmin, fmax)
-    return Spectrogram(fb @ power.values, hop=power.hop, sample_rate=power.sample_rate, feature_kind="mel")
-
-
 def _decibels(values):
     return 10.0 * np.log10(np.maximum(values, LOG_FLOOR))
-
-
-def lms(mel):
-    """Log mel spectrogram in dB: 10*log10(mel), floored at 1e-10."""
-    if mel.feature_kind != "mel":
-        raise ValueError(f"lms needs a mel spectrogram, got {mel.feature_kind!r}")
-    return Spectrogram(_decibels(mel.values), hop=mel.hop, sample_rate=mel.sample_rate, feature_kind="lms")
-
-
-def nnlms(mel):
-    """Nonnegative log mel spectrogram: log(mel + 1), elementwise."""
-    if mel.feature_kind != "mel":
-        raise ValueError(f"nnlms needs a mel spectrogram, got {mel.feature_kind!r}")
-    return Spectrogram(np.log1p(mel.values), hop=mel.hop, sample_rate=mel.sample_rate, feature_kind="nnlms")
 
 
 def _pitch_class_bins(n_fft, sample_rate):
@@ -316,41 +260,13 @@ def _fold_pitch_classes(power_values, classes):
     return out
 
 
-def chroma(power):
-    """12-row chromagram (C, C#, ..., B) by pitch-class folding of STFT bins.
-
-    Each bin above DC is assigned to the equal-tempered pitch class nearest
-    its center frequency (A4 = 440Hz); bin powers are summed per class.
-    """
-    if power.feature_kind != "stft_power":
-        raise ValueError(f"chroma needs a power STFT, got {power.feature_kind!r}")
-    classes = _pitch_class_bins(2 * (power.n_bins - 1), power.sample_rate)
-    out = _fold_pitch_classes(power.values, classes)
-    return Spectrogram(out, hop=power.hop, sample_rate=power.sample_rate, feature_kind="chroma")
-
-
 def mfcc_from_log_mel(log_mel_values, n_coeffs=N_MFCC):
     """Orthonormal DCT-II over the band axis, keeping the first n_coeffs."""
     coeffs = scipy.fft.dct(np.asarray(log_mel_values, dtype=np.float64), type=2, norm="ortho", axis=0)
     return coeffs[:n_coeffs]
 
 
-def mfcc(power, n_coeffs=N_MFCC):
-    """MFCCs from an internal 128-band full-range log mel basis.
-
-    The mel basis here (128 bands, 0Hz to Nyquist) deliberately differs
-    from the 80-band basis used for the LMS feature.
-    """
-    if power.feature_kind != "stft_power":
-        raise ValueError(f"mfcc needs a power STFT, got {power.feature_kind!r}")
-    n_fft = 2 * (power.n_bins - 1)
-    fb, _ = mel_filterbank(MFCC_BANDS, n_fft, power.sample_rate, 0.0, power.sample_rate / 2)
-    values = mfcc_from_log_mel(_decibels(fb @ power.values), n_coeffs)
-    return Spectrogram(values, hop=power.hop, sample_rate=power.sample_rate, feature_kind="mfcc")
-
-
 def compute_feature(signal, kind, n_fft=DEFAULT_N_FFT, hop=DEFAULT_HOP):
-    """Compute one of the five named features (or the power STFT) at every frame."""
+    """One of the five named features (or the power STFT) at every frame, as an f x T array."""
     feature = FeatureFrames(signal, kind, n_fft=n_fft, hop=hop)
-    values = feature.at(np.arange(feature.n_frames))
-    return Spectrogram(values, hop=hop, sample_rate=signal.sample_rate, feature_kind=kind)
+    return feature.at(np.arange(feature.n_frames))

@@ -47,6 +47,13 @@ class PipelineConfig:
             raise ValueError("d_c is required unless compressor=none")
         if not (self.n_fft >= self.hop >= 1):
             raise ValueError(f"need n_fft >= hop >= 1, got n_fft={self.n_fft}, hop={self.hop}")
+        for name in ("subdivision", "max_segment", "ae_batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not self.tolerances or not all(0 < tol < np.inf for tol in self.tolerances):
+            raise ValueError(f"tolerances must be finite and positive, got {self.tolerances}")
 
     def echo(self):
         d = asdict(self)

@@ -138,6 +138,8 @@ def dp_segment(A, max_segment=DEFAULT_MAX_SEGMENT):
     b = A.shape[0]
     if b < 1:
         raise ValueError("empty autosimilarity")
+    if max_segment < 1:
+        raise ValueError(f"max_segment must be >= 1, got {max_segment}")
     if b == 1:
         # Only one segmentation exists; no scoring needed.
         return Segmentation(np.array([0, 1]), total_score=0.0)

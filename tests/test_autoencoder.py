@@ -265,16 +265,6 @@ class TestTraining:
             ae.train_single_song(bars, cfg)
 
 
-class TestSerialization:
-    def test_loss_trace_csv(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        ae.write_loss_trace_csv(path, [0.5, 0.25])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,loss"
-        assert lines[1] == "0,0.5"
-        assert len(lines) == 3
-
-
 # ---------------------------------------------------------------------------
 # Test-side copy of the channels-first (NCHW) network that the channels-last
 # layers replaced, run on the parameters of an `ae.init_network` network. The

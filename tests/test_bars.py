@@ -4,11 +4,25 @@ import numpy as np
 import pytest
 
 from barseg import bars, synthetic
-from barseg.features import AudioSignal, FeatureFrames, Spectrogram, compute_feature
+from barseg.features import AudioSignal, FeatureFrames, compute_feature
+
+
+class ArrayFeature:
+    """A feature held as an f x T array, with the interface `barwise_tf` reads."""
+
+    def __init__(self, values, hop, sample_rate, feature_kind):
+        self.values = values
+        self.hop = hop
+        self.sample_rate = sample_rate
+        self.feature_kind = feature_kind
+        self.n_frames = values.shape[1]
+
+    def at(self, frames):
+        return self.values[:, frames]
 
 
 def spec_from(values, hop=32, sr=44100, kind="nnlms"):
-    return Spectrogram(np.asarray(values, dtype=float), hop, sr, kind)
+    return ArrayFeature(np.asarray(values, dtype=float), hop, sr, kind)
 
 
 class TestLoadDownbeats:
@@ -174,7 +188,7 @@ class TestBarwiseFromFeatureFrames:
     def test_matches_dense_feature(self, song, kind):
         name, signal, grid = song
         lazy = bars.barwise_tf(FeatureFrames(signal, kind), grid)
-        dense = bars.barwise_tf(compute_feature(signal, kind), grid)
+        dense = bars.barwise_tf(spec_from(compute_feature(signal, kind), kind=kind), grid)
         assert (lazy.n_bins, lazy.subdivision, lazy.feature_kind) == (dense.n_bins, dense.subdivision, kind)
         if name == "short_bars" and kind != "chroma":
             # The last bar's columns sit at the tail of the dense `fb @ power`

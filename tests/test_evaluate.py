@@ -75,6 +75,11 @@ class TestHitRate:
         with pytest.raises(ValueError):
             evaluate.hit_rate(np.array([1.0]), np.array([1.0]), 0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -0.5])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            evaluate.hit_rate(np.array([1.0]), np.array([1.0]), tol)
+
 
 def brute_force_matching(est, ref, tol):
     """Size of a maximum one-to-one matching, by trying every assignment."""

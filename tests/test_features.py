@@ -58,18 +58,9 @@ def power_at_reference(signal, frames, n_fft, hop):
 
 
 def feature_at_reference(signal, kind, frames, n_fft, hop):
-    """The feature at the given frames: the full power array, then the Spectrogram functions."""
-    power = features.Spectrogram(
-        power_at_reference(signal, frames, n_fft, hop), hop, signal.sample_rate, "stft_power"
-    )
-    if kind == "stft_power":
-        return power.values
-    if kind == "chroma":
-        return features.chroma(power).values
-    if kind == "mfcc":
-        return features.mfcc(power).values
-    mel = features.mel_spectrogram(power)
-    return {"mel": mel, "lms": features.lms(mel), "nnlms": features.nnlms(mel)}[kind].values
+    """The feature at the given frames: the full power array, then the feature's arithmetic in one call."""
+    power = power_at_reference(signal, frames, n_fft, hop)
+    return features._feature_of_power(kind, n_fft, signal.sample_rate)[1](power)
 
 
 def _openblas_thread_setter():
@@ -156,21 +147,21 @@ class TestStftPower:
         n_fft, sr = 2048, 44100
         k = 100
         sig = features.AudioSignal(sine(k * sr / n_fft), sr)
-        spec = features.stft_power(sig, n_fft=n_fft, hop=512)
+        spec = features.compute_feature(sig, "stft_power", n_fft=n_fft, hop=512)
         # Frames whose window overlaps the reflect padding can smear by a bin.
-        interior = spec.values[:, 3:-3]
+        interior = spec[:, 3:-3]
         assert np.all(interior.argmax(axis=0) == k)
 
     def test_silence_is_zero(self):
         sig = features.AudioSignal(np.zeros(44100), 44100)
-        spec = features.stft_power(sig)
-        assert np.all(spec.values == 0.0)
-        assert spec.values.shape == (1025, 1 + 44100 // 32)
+        spec = features.compute_feature(sig, "stft_power")
+        assert np.all(spec == 0.0)
+        assert spec.shape == (1025, 1 + 44100 // 32)
 
     def test_frame_count_convention(self):
         sig = features.AudioSignal(np.random.default_rng(0).standard_normal(10000), 44100)
-        spec = features.stft_power(sig, hop=32)
-        assert spec.n_frames == 1 + 10000 // 32
+        spec = features.compute_feature(sig, "stft_power", hop=32)
+        assert spec.shape[1] == 1 + 10000 // 32
 
     def test_parseval_on_white_noise(self):
         import scipy.signal
@@ -180,14 +171,14 @@ class TestStftPower:
         x = rng.standard_normal(20000)
         n_fft, hop = 2048, 512
         sig = features.AudioSignal(np.clip(x / 4, -1, 1), 44100)
-        spec = features.stft_power(sig, n_fft=n_fft, hop=hop)
+        spec = features.compute_feature(sig, "stft_power", n_fft=n_fft, hop=hop)
         window = scipy.signal.get_window("hann", n_fft, fftbins=True)
         padded = np.pad(sig.samples, n_fft // 2, mode="reflect")
         freq_energy, time_energy = [], []
-        for t in range(spec.n_frames):
+        for t in range(spec.shape[1]):
             frame = padded[t * hop : t * hop + n_fft] * window
             time_energy.append(np.sum(frame**2))
-            power = spec.values[:, t]
+            power = spec[:, t]
             # One-sided spectrum: double all bins except DC and Nyquist.
             total = power[0] + power[-1] + 2 * power[1:-1].sum()
             freq_energy.append(total / n_fft)
@@ -196,20 +187,20 @@ class TestStftPower:
     def test_determinism(self, tmp_path):
         path = tmp_path / "tone.wav"
         write_wav(path, sine(440, 0.5))
-        a = features.stft_power(features.load_wav(path)).values
-        b = features.stft_power(features.load_wav(path)).values
+        a = features.compute_feature(features.load_wav(path), "stft_power")
+        b = features.compute_feature(features.load_wav(path), "stft_power")
         assert np.array_equal(a, b)
 
     def test_empty_signal_rejected(self):
         with pytest.raises(ValueError):
-            features.stft_power(features.AudioSignal(np.zeros(0), 44100))
+            features.compute_feature(features.AudioSignal(np.zeros(0), 44100), "stft_power")
 
     @pytest.mark.parametrize("n_samples, n_fft, hop", [(44100 * 4, 2048, 32), (10001, 512, 100)])
     def test_matches_padded_reference(self, n_samples, n_fft, hop):
         # 44100*4 samples at hop 32 give 5513 frames, which span many FFT chunks.
         sig = features.AudioSignal(np.random.default_rng(4).uniform(-1, 1, n_samples), 44100)
         expected = padded_stft_power_reference(sig.samples, n_fft, hop)
-        assert np.array_equal(features.stft_power(sig, n_fft=n_fft, hop=hop).values, expected)
+        assert np.array_equal(features.compute_feature(sig, "stft_power", n_fft=n_fft, hop=hop), expected)
         # Any frames, in any order, with repeats and both reflected edges.
         feature = features.FeatureFrames(sig, "stft_power", n_fft=n_fft, hop=hop)
         frames = np.random.default_rng(5).integers(0, feature.n_frames, 5000)
@@ -268,7 +259,7 @@ class TestFeatureFramesChunks:
     @pytest.mark.parametrize("kind", features.FEATURE_KINDS)
     def test_no_frames_give_an_empty_matrix(self, kind):
         sig = features.AudioSignal(np.random.default_rng(9).uniform(-1, 1, 5000), 44100)
-        expected = features.compute_feature(sig, kind).values[:, :0]
+        expected = features.compute_feature(sig, kind)[:, :0]
         got = features.FeatureFrames(sig, kind).at([])
         assert isinstance(got, np.ndarray) and got.shape == expected.shape
 
@@ -290,9 +281,9 @@ class TestFeatureFramesChunks:
 class TestMel:
     def test_zero_power_gives_zero_mel(self):
         sig = features.AudioSignal(np.zeros(44100), 44100)
-        mel = features.mel_spectrogram(features.stft_power(sig))
-        assert mel.values.shape[0] == 80
-        assert np.all(mel.values == 0.0)
+        mel = features.compute_feature(sig, "mel")
+        assert mel.shape[0] == 80
+        assert np.all(mel == 0.0)
 
     def test_filter_support_inside_range(self):
         fb, centers = features.mel_filterbank(80, 2048, 44100, 80.0, 16000.0)
@@ -305,46 +296,51 @@ class TestMel:
     def test_sine_hits_nearest_band(self):
         sr = 44100
         sig = features.AudioSignal(sine(1000, 0.3, sr), sr)
-        mel = features.mel_spectrogram(features.stft_power(sig, hop=512))
+        mel = features.compute_feature(sig, "mel", hop=512)
         _, centers = features.mel_filterbank(80, 2048, sr, 80.0, 16000.0)
         expected_band = int(np.argmin(np.abs(centers - 1000)))
-        band = int(np.bincount(mel.values.argmax(axis=0)).argmax())
+        band = int(np.bincount(mel.argmax(axis=0)).argmax())
         assert abs(band - expected_band) <= 1
 
     def test_fmax_above_nyquist_rejected(self):
-        sig = features.AudioSignal(np.zeros(44100), 44100)
         with pytest.raises(ValueError):
-            features.mel_spectrogram(features.stft_power(sig), fmax=30000.0)
-
-    def test_wrong_input_kind_rejected(self):
-        sig = features.AudioSignal(np.zeros(44100), 44100)
-        mel = features.mel_spectrogram(features.stft_power(sig))
-        with pytest.raises(ValueError):
-            features.mel_spectrogram(mel)
+            features.mel_filterbank(80, 2048, 44100, 80.0, fmax=30000.0)
 
 
 class TestLogVariants:
-    def make_mel(self, values):
-        return features.Spectrogram(np.asarray(values, dtype=float), 32, 44100, "mel")
+    """LMS and NNLMS are logs of the mel feature, as `_feature_of_power` builds them."""
+
+    def mel_and_log(self, kind, power):
+        mel = features._feature_of_power("mel", 2048, 44100)[1](power)
+        return mel, features._feature_of_power(kind, 2048, 44100)[1](power)
+
+    def one_band_power(self, mel_values):
+        """A power block whose mel band 40 takes the given values, one per column, to rounding."""
+        fb, _ = features.mel_filterbank(features.N_MELS, 2048, 44100, features.MEL_FMIN, features.MEL_FMAX)
+        k = int(np.argmax(fb[40]))
+        power = np.zeros((1025, len(mel_values)))
+        power[k] = np.asarray(mel_values) / fb[40, k]
+        return power
 
     def test_lms_values(self):
-        mel = self.make_mel([[1.0, 0.0, 100.0]])
-        out = features.lms(mel)
-        assert out.values[0, 0] == 0.0
-        assert out.values[0, 1] == -100.0  # floored at 1e-10
-        assert out.values[0, 2] == pytest.approx(20.0)
+        out = features._decibels(np.array([[1.0, 0.0, 100.0]]))
+        assert out[0, 0] == 0.0
+        assert out[0, 1] == -100.0  # floored at 1e-10
+        assert out[0, 2] == pytest.approx(20.0)
+        mel, lms = self.mel_and_log("lms", np.random.default_rng(2).random((1025, 7)))
+        assert lms.tobytes() == features._decibels(mel).tobytes()
 
     def test_nnlms_values(self):
-        mel = self.make_mel([[0.0, np.e - 1.0]])
-        out = features.nnlms(mel)
-        assert out.values[0, 0] == 0.0
-        assert out.values[0, 1] == pytest.approx(1.0)
+        mel, out = self.mel_and_log("nnlms", self.one_band_power([0.0, np.e - 1.0]))
+        assert out[40, 0] == 0.0
+        assert out[40, 1] == pytest.approx(1.0)
+        assert out.tobytes() == np.log1p(mel).tobytes()
 
     def test_nnlms_monotone_and_nonnegative(self):
         rng = np.random.default_rng(3)
         a = np.sort(rng.random(50) * 10)
-        out = features.nnlms(self.make_mel(a[None, :])).values[0]
-        assert np.all(np.diff(out) > 0)
+        _, out = self.mel_and_log("nnlms", self.one_band_power(a))
+        assert np.all(np.diff(out[40]) > 0)
         assert np.all(out >= 0)
 
 
@@ -354,22 +350,21 @@ PITCH_CLASSES = ["C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B"
 class TestChroma:
     def chroma_of(self, freq, n_fft=32768):
         sig = features.AudioSignal(sine(freq, 1.5), 44100)
-        power = features.stft_power(sig, n_fft=n_fft, hop=4096)
-        return features.chroma(power)
+        return features.compute_feature(sig, "chroma", n_fft=n_fft, hop=4096)
 
     def test_silence(self):
         sig = features.AudioSignal(np.zeros(44100), 44100)
-        out = features.chroma(features.stft_power(sig))
-        assert out.values.shape[0] == 12
-        assert np.all(out.values == 0.0)
+        out = features.compute_feature(sig, "chroma")
+        assert out.shape[0] == 12
+        assert np.all(out == 0.0)
 
     def test_a440_maps_to_pitch_class_a(self):
         out = self.chroma_of(440.0)
-        assert np.all(out.values.argmax(axis=0) == PITCH_CLASSES.index("A"))
+        assert np.all(out.argmax(axis=0) == PITCH_CLASSES.index("A"))
 
     def test_octave_equivalence_a880(self):
         out = self.chroma_of(880.0)
-        assert np.all(out.values.argmax(axis=0) == PITCH_CLASSES.index("A"))
+        assert np.all(out.argmax(axis=0) == PITCH_CLASSES.index("A"))
 
     @pytest.mark.parametrize("pc", range(12))
     @pytest.mark.parametrize("octave", [2, 3, 4, 5, 6])
@@ -377,7 +372,7 @@ class TestChroma:
         midi = 12 * (octave + 1) + pc
         freq = 440.0 * 2.0 ** ((midi - 69) / 12.0)
         out = self.chroma_of(freq)
-        total = out.values.sum(axis=1)
+        total = out.sum(axis=1)
         assert int(np.argmax(total)) == pc
 
 
@@ -398,24 +393,27 @@ class TestMfcc:
         assert np.allclose(back, log_mel, atol=1e-9)
 
     def test_identical_frames_identical_mfcc(self):
+        # The signal repeats every 4,410 samples, 10 hops of 441. Frames 15
+        # and 25 are one period apart and wholly inside the signal; frame
+        # 20 is half a period from frame 15.
         sig = features.AudioSignal(np.tile(sine(500, 0.1), 4), 44100)
-        out = features.mfcc(features.stft_power(sig, hop=512))
-        assert out.values.shape[0] == 32
-        mid = out.values.shape[1] // 2
-        assert np.array_equal(out.values[:, mid], out.values[:, mid])
+        out = features.compute_feature(sig, "mfcc", hop=441)
+        assert out.shape[0] == 32
+        assert np.array_equal(out[:, 15], out[:, 25])
+        assert not np.array_equal(out[:, 15], out[:, 20])
 
 
 class TestSharedProperties:
     @pytest.mark.parametrize("kind", ["chroma", "mel", "lms", "nnlms", "mfcc"])
     def test_shared_time_axis(self, kind):
         sig = features.AudioSignal(sine(330, 0.4), 44100)
-        power = features.stft_power(sig)
+        power = features.compute_feature(sig, "stft_power")
         feat = features.compute_feature(sig, kind)
-        assert feat.n_frames == power.n_frames
+        assert feat.shape[1] == power.shape[1]
 
     @pytest.mark.parametrize("kind", ["chroma", "mel", "nnlms"])
     def test_nonnegative_kinds(self, kind):
         rng = np.random.default_rng(5)
         sig = features.AudioSignal(np.clip(rng.standard_normal(30000) / 4, -1, 1), 44100)
         feat = features.compute_feature(sig, kind)
-        assert feat.values.min() >= 0.0
+        assert feat.min() >= 0.0

@@ -238,6 +238,22 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match=rf"need n_fft >= hop >= 1, got n_fft={n_fft}, hop={hop}"):
             pipeline.PipelineConfig(n_fft=n_fft, hop=hop)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_segment", 0, "max_segment must be >= 1, got 0"),
+        ("max_segment", -3, "max_segment must be >= 1, got -3"),
+        ("subdivision", 0, "subdivision must be >= 1, got 0"),
+        ("ae_batch_size", 0, "ae_batch_size must be >= 1, got 0"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("tolerances", (), r"tolerances must be finite and positive, got \(\)"),
+        ("tolerances", (0.5, float("nan")), r"tolerances must be finite and positive, got \(0.5, nan\)"),
+        ("tolerances", (float("inf"),), r"tolerances must be finite and positive, got \(inf,\)"),
+        ("tolerances", (0.0, 3.0), r"tolerances must be finite and positive, got \(0.0, 3.0\)"),
+        ("tolerances", (-0.5,), r"tolerances must be finite and positive, got \(-0.5,\)"),
+    ])
+    def test_bad_setting_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            pipeline.PipelineConfig(**{field: value})
+
     def test_config_echo_round_trips(self):
         cfg = pipeline.PipelineConfig(feature="mel", compressor="none", d_c=4)
         echoed = cfg.echo()
@@ -376,6 +392,28 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == "barseg: error: command line: tolerances: could not convert string to float: 'x'\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--max-segment", "0"], None, "max_segment must be >= 1, got 0"),
+        (["--subdivision", "0"], None, "subdivision must be >= 1, got 0"),
+        (["--compressor", "nmf", "--seed=-1"], None, "seed must be >= 0, got -1"),
+        (["--tolerances=nan"], None, "tolerances must be finite and positive, got (nan,)"),
+        (["--tolerances=0,3"], None, "tolerances must be finite and positive, got (0.0, 3.0)"),
+        ([], "compressor = ae\nae_batch_size = 0\n", "ae_batch_size must be >= 1, got 0"),
+    ])
+    def test_bad_setting_exits_2_before_any_stage(self, song_dir, tmp_path, capsys, flags, config, message):
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            flags = flags + ["--config", str(tmp_path / "run.cfg")]
+        rc = cli.main([
+            "segment", str(song_dir / "audio.wav"), "--downbeats", str(song_dir / "downbeats.txt"),
+            "--annotations", str(song_dir / "annotations.txt"), "--out", str(tmp_path / "out"),
+        ] + flags)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"barseg: error: {message}\n"
+        assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     def test_bad_dc_sweep_names_flag(self, song_dir, tmp_path, capsys):

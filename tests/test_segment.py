@@ -273,6 +273,11 @@ class TestDpSegment:
         seg = segment.dp_segment(np.ones((1, 1)))
         assert np.array_equal(seg.boundaries_bars, [0, 1])
 
+    @pytest.mark.parametrize("max_segment", [0, -3])
+    def test_max_segment_below_one_rejected(self, max_segment):
+        with pytest.raises(ValueError, match=f"max_segment must be >= 1, got {max_segment}"):
+            segment.dp_segment(np.ones((8, 8)), max_segment=max_segment)
+
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(42)
         for trial in range(20):
