@@ -38,9 +38,8 @@ def main():
     # The autoencoder sees each bar as an f x s image; a short training
     # run is enough to illustrate the loss trace shape.
     patches = np.stack([tf_matrix.bar_patch(i) for i in range(tf_matrix.n_bars)])
-    cfg = autoencoder.AEConfig(d_c=D_C, max_epochs=60)
     t0 = time.perf_counter()
-    result = autoencoder.train_single_song(patches, cfg)
+    result = autoencoder.train_single_song(patches, D_C, max_epochs=60)
     dt = time.perf_counter() - t0
     print(f"ae: loss {result.loss_trace[0]:.4f} -> {result.best_loss:.4f} "
           f"over {result.epochs_run} epochs in {dt:.1f}s")

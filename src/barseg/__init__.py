@@ -6,7 +6,7 @@ compression (PCA / NMF / single-song convolutional autoencoder / none)
 boundary hit-rate evaluation.
 """
 
-from .autoencoder import AEConfig, AENetwork, init_network, mse_loss, train_single_song
+from .autoencoder import AENetwork, train_single_song
 from .bars import BarGrid, BarwiseTF, barwise_tf, load_downbeats, select_frames
 from .evaluate import (
     BoundarySet,

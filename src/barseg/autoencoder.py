@@ -6,8 +6,12 @@ layer lists, run in order and in reverse for backprop: the encoder is
 conv(1->4), ReLU, pool, conv(4->16), ReLU, pool, flatten and a linear
 latent layer of size d_c; the decoder is a dense layer, ReLU, an unflatten
 to 16 channels and two stride-2 transposed convolutions, each with a ReLU.
-Training follows a plateau learning-rate schedule with early stopping,
-and the embedding is read out with the best-loss parameters.
+Training uses one fixed recipe: Adam (beta1 0.9, beta2 0.999, eps 1e-8)
+and a plateau schedule that starts at lr 1e-3, divides it by 10 after 20
+epochs without improvement (floored at 1e-5) and stops after 100. These
+constants live in `AdamOptimizer` and `PlateauSchedule`; the latent size,
+seed, epoch cap and batch size are the arguments of `train_single_song`.
+The embedding is read out with the best-loss parameters.
 
 Activations are channels-last (N,H,W,C) from the input to the flatten and
 from the unflatten to the output. The two dense layers index their weights
@@ -20,25 +24,6 @@ and the final encoding keep nothing.
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class AEConfig:
-    d_c: int = 8
-    lr0: float = 0.001
-    plateau_patience: int = 20
-    lr_factor: float = 0.1
-    lr_min: float = 1e-5
-    early_stop_patience: int = 100
-    max_epochs: int = 1000
-    batch_size: int = 8
-    seed: int = 42
-
-    def __post_init__(self):
-        if self.lr_min >= self.lr0:
-            raise ValueError("lr_min must be below the initial learning rate")
-        if self.d_c < 1:
-            raise ValueError("latent dimension must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +290,7 @@ class AENetwork:
     """Convolutional autoencoder for f x s bar patches."""
 
     def __init__(self, n_bins, subdivision, d_c, seed=42):
+        """Fresh network with He-uniform weights and zero biases."""
         if subdivision % 4 != 0:
             raise ValueError(f"subdivision must be divisible by 4, got {subdivision}")
         self.n_bins = n_bins
@@ -312,6 +298,8 @@ class AENetwork:
         # Pad the frequency axis up to a multiple of 4 with zero rows.
         self.f_pad = n_bins if n_bins % 4 == 0 else n_bins + (4 - n_bins % 4)
         self.flat_size = 16 * (self.f_pad // 4) * (subdivision // 4)
+        if d_c < 1:
+            raise ValueError("latent dimension must be positive")
         if d_c >= self.flat_size:
             raise ValueError(f"d_c={d_c} is not a compression of the {self.flat_size}-dim bottleneck input")
         rng = np.random.default_rng(seed)
@@ -385,26 +373,15 @@ class AENetwork:
         return grads, float(np.mean((x_hat - x) ** 2))
 
 
-def init_network(n_bins, subdivision, d_c, seed=42):
-    """Fresh network with He-uniform weights and zero biases."""
-    return AENetwork(n_bins, subdivision, d_c, seed=seed)
-
-
-def mse_loss(x, x_hat):
-    """Mean squared error over all entries."""
-    x = np.asarray(x, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    return float(np.mean((x - x_hat) ** 2))
-
-
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
 
 
 class AdamOptimizer:
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params):
         self.m = {k: np.zeros_like(p) for k, p in params.items()}
         self.v = {k: np.zeros_like(p) for k, p in params.items()}
         self.t = 0
@@ -429,12 +406,10 @@ class PlateauSchedule:
     `early_stop_patience` consecutive non-improving epochs training stops.
     """
 
-    def __init__(self, lr0=0.001, factor=0.1, patience=20, lr_min=1e-5, early_stop_patience=100):
-        self.lr = lr0
-        self.factor = factor
-        self.patience = patience
-        self.lr_min = lr_min
-        self.early_stop_patience = early_stop_patience
+    factor, patience, lr_min, early_stop_patience = 0.1, 20, 1e-5, 100
+
+    def __init__(self):
+        self.lr = 0.001
         self.best_loss = np.inf
         self.plateau_count = 0
         self.stall_count = 0
@@ -457,7 +432,6 @@ class PlateauSchedule:
 
 @dataclass
 class TrainResult:
-    network: "AENetwork"
     embedding: np.ndarray  # d_c x b, best-loss parameters
     loss_trace: np.ndarray  # full-song loss per epoch
     best_loss: float
@@ -473,31 +447,31 @@ def _full_loss(net, bars, batch_size=32):
     return total / bars.size
 
 
-def train_single_song(bars, cfg):
+def train_single_song(bars, d_c, seed=42, max_epochs=1000, batch_size=8):
     """Train the autoencoder on one song's bars and read out its embedding.
 
-    `bars` is a sequence of b matrices of shape f x s. Returns the network
-    restored to its best-loss parameters together with the d_c x b
-    embedding Z encoded by those parameters.
+    `bars` is a sequence of b matrices of shape f x s. The result holds the
+    d_c x b embedding Z encoded by the best-loss parameters; max_epochs=0
+    gives the encoding of the initial network.
     """
     bars = np.asarray(bars, dtype=np.float64)
     if bars.ndim != 3 or bars.shape[0] < 1:
         raise ValueError("need at least one f x s bar")
     b, f, s = bars.shape
-    net = init_network(f, s, cfg.d_c, seed=cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
+    net = AENetwork(f, s, d_c, seed=seed)
+    rng = np.random.default_rng(seed)
     optimizer = AdamOptimizer(net.parameters())
-    schedule = PlateauSchedule(cfg.lr0, cfg.lr_factor, cfg.plateau_patience, cfg.lr_min, cfg.early_stop_patience)
+    schedule = PlateauSchedule()
 
     best_state = net.get_state()
     best_loss = _full_loss(net, bars)
     trace = []
-    lr = cfg.lr0
+    lr = schedule.lr
     epochs_run = 0
-    for _ in range(cfg.max_epochs):
+    for _ in range(max_epochs):
         order = rng.permutation(b)
-        for start in range(0, b, cfg.batch_size):
-            batch = bars[order[start : start + cfg.batch_size]]
+        for start in range(0, b, batch_size):
+            batch = bars[order[start : start + batch_size]]
             grads, batch_loss = net.backward_batch(batch)
             if not np.isfinite(batch_loss):
                 raise FloatingPointError(f"training diverged: non-finite loss at epoch {epochs_run}")
@@ -515,4 +489,4 @@ def train_single_song(bars, cfg):
             break
     net.set_state(best_state)
     embedding = net.encode_batch(bars).T
-    return TrainResult(net, embedding, np.asarray(trace), best_loss, epochs_run)
+    return TrainResult(embedding, np.asarray(trace), best_loss, epochs_run)

@@ -14,14 +14,16 @@ DEFAULT_SUBDIVISION = 96
 
 @dataclass
 class BarGrid:
-    """Strictly increasing downbeat times in seconds; b+1 times delimit b bars."""
+    """Finite, strictly increasing downbeat times in seconds; b+1 times delimit b bars."""
 
     downbeats: np.ndarray
 
     def __post_init__(self):
         self.downbeats = np.asarray(self.downbeats, dtype=np.float64)
         if self.downbeats.ndim != 1 or len(self.downbeats) < 2:
-            raise ValueError("BarGrid needs at least 2 downbeat times")
+            raise ValueError(f"BarGrid needs at least 2 downbeat times, got {len(self.downbeats)}")
+        if not np.all(np.isfinite(self.downbeats)):
+            raise ValueError("downbeats must be finite")
         if self.downbeats[0] < 0:
             raise ValueError("downbeats must be nonnegative")
         if not np.all(np.diff(self.downbeats) > 0):
@@ -72,11 +74,10 @@ def load_downbeats(path):
                 times.append(float(line))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: not a number: {line!r}") from exc
-    if len(times) < 2:
-        raise ValueError(f"{path}: need at least 2 downbeats, got {len(times)}")
-    if not all(b > a for a, b in zip(times, times[1:])):
-        raise ValueError(f"{path}: downbeat times are not strictly increasing")
-    return BarGrid(np.array(times))
+    try:
+        return BarGrid(np.array(times))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def downbeat_frames(downbeats, frames_per_second, n_frames):

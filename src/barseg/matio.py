@@ -42,11 +42,7 @@ def read_bseg(path):
 
 def write_csv_matrix(path, matrix):
     """Write a matrix as plain CSV, one row per line."""
-    m = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w") as fh:
-        for row in m:
-            fh.write(",".join(format(v, ".17g") for v in row))
-            fh.write("\n")
+    np.savetxt(path, np.asarray(matrix, dtype=np.float64), fmt="%.17g", delimiter=",")
 
 
 def write_pgm(path, matrix):

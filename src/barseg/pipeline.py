@@ -47,7 +47,7 @@ class PipelineConfig:
             raise ValueError("d_c is required unless compressor=none")
         if not (self.n_fft >= self.hop >= 1):
             raise ValueError(f"need n_fft >= hop >= 1, got n_fft={self.n_fft}, hop={self.hop}")
-        for name in ("subdivision", "max_segment", "ae_batch_size"):
+        for name in ("subdivision", "max_segment", "ae_max_epochs", "ae_batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
@@ -107,11 +107,10 @@ def _compress(tf_matrix, cfg):
                 "negative values; use chroma, mel, or nnlms"
             )
         return lowrank.nmf_compress(X, cfg.d_c, seed=cfg.seed).H
-    ae_cfg = autoencoder.AEConfig(
-        d_c=cfg.d_c, seed=cfg.seed, max_epochs=cfg.ae_max_epochs, batch_size=cfg.ae_batch_size
-    )
-    patches = np.stack([tf_matrix.bar_patch(i) for i in range(tf_matrix.n_bars)])
-    return autoencoder.train_single_song(patches, ae_cfg).embedding
+    patches = tf_matrix.values.reshape(tf_matrix.n_bars, tf_matrix.n_bins, tf_matrix.subdivision)
+    return autoencoder.train_single_song(
+        patches, cfg.d_c, cfg.seed, max_epochs=cfg.ae_max_epochs, batch_size=cfg.ae_batch_size
+    ).embedding
 
 
 @contextlib.contextmanager
@@ -184,9 +183,8 @@ def run_song(cfg, song_id=None):
 
 def write_boundary_file(path, boundary_seconds):
     """Two-column start/end text, one segment per line."""
-    with open(path, "w") as fh:
-        for start, end in zip(boundary_seconds[:-1], boundary_seconds[1:]):
-            fh.write(f"{format(float(start), '.17g')}\t{format(float(end), '.17g')}\n")
+    b = np.asarray(boundary_seconds, dtype=np.float64)
+    np.savetxt(path, np.column_stack([b[:-1], b[1:]]), fmt="%.17g", delimiter="\t")
 
 
 def run_batch(dataset_dir, cfg):

@@ -114,7 +114,7 @@ class TestAcceptance:
     def test_ae_gradient_check(self):
         with criterion("AE finite-difference gradients < 1e-4 on tiny net (<30s)"):
             start = time.perf_counter()
-            net = ae.init_network(n_bins=4, subdivision=8, d_c=2, seed=0)
+            net = ae.AENetwork(n_bins=4, subdivision=8, d_c=2, seed=0)
             x = np.random.default_rng(1).random((2, 4, 8))
             grads, _ = net.backward_batch(x)
             params = net.parameters()
@@ -161,7 +161,7 @@ class TestAcceptance:
             assert all(lr == pytest.approx(1e-3) for lr in lr_after)
             # The epoch cap bounds training even while the loss improves.
             bars = np.random.default_rng(8).random((4, 4, 8))
-            result = ae.train_single_song(bars, ae.AEConfig(d_c=2, max_epochs=3, batch_size=2))
+            result = ae.train_single_song(bars, d_c=2, max_epochs=3, batch_size=2)
             assert result.epochs_run == 3
 
     @pytest.mark.parametrize("compressor,budget", [

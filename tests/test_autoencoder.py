@@ -7,22 +7,22 @@ from barseg import bars, features, synthetic
 
 class TestInitNetwork:
     def test_flatten_size_mel(self):
-        net = ae.init_network(80, 96, 8)
+        net = ae.AENetwork(80, 96, 8)
         assert net.flat_size == 16 * 20 * 24 == 7680
 
     def test_flatten_size_chroma(self):
-        net = ae.init_network(12, 96, 8)
+        net = ae.AENetwork(12, 96, 8)
         assert net.f_pad == 12
         assert net.flat_size == 16 * 3 * 24 == 1152
 
     def test_seed_determinism(self):
-        a = ae.init_network(12, 8, 4, seed=99)
-        b = ae.init_network(12, 8, 4, seed=99)
+        a = ae.AENetwork(12, 8, 4, seed=99)
+        b = ae.AENetwork(12, 8, 4, seed=99)
         for k, v in a.parameters().items():
             assert np.array_equal(v, b.parameters()[k]), k
 
     def test_biases_zero_weights_bounded(self):
-        net = ae.init_network(16, 16, 4, seed=0)
+        net = ae.AENetwork(16, 16, 4, seed=0)
         for name, p in net.parameters().items():
             if name.endswith(".b"):
                 assert np.all(p == 0.0)
@@ -33,10 +33,14 @@ class TestInitNetwork:
 
     def test_non_compressing_latent_rejected(self):
         with pytest.raises(ValueError, match="compression"):
-            ae.init_network(4, 8, 16 * 1 * 2)
+            ae.AENetwork(4, 8, 16 * 1 * 2)
+
+    def test_nonpositive_latent_rejected(self):
+        with pytest.raises(ValueError, match="latent dimension must be positive"):
+            ae.AENetwork(4, 8, 0)
 
     def test_frequency_padding(self):
-        net = ae.init_network(10, 8, 4)
+        net = ae.AENetwork(10, 8, 4)
         assert net.f_pad == 12
         z, x_hat = net.forward_batch(np.random.default_rng(0).random((1, 10, 8)))
         assert x_hat.shape == (1, 10, 8)
@@ -44,7 +48,7 @@ class TestInitNetwork:
 
 class TestForward:
     def test_zero_weights_zero_output(self):
-        net = ae.init_network(8, 8, 3, seed=1)
+        net = ae.AENetwork(8, 8, 3, seed=1)
         net.set_state({k: np.zeros_like(v) for k, v in net.parameters().items()})
         z, x_hat = net.forward_batch(np.zeros((1, 8, 8)))
         assert np.all(z == 0.0)
@@ -52,20 +56,20 @@ class TestForward:
 
     def test_output_nonnegative(self):
         rng = np.random.default_rng(2)
-        net = ae.init_network(12, 16, 4, seed=3)
+        net = ae.AENetwork(12, 16, 4, seed=3)
         for _ in range(5):
             _, x_hat = net.forward_batch(rng.standard_normal((1, 12, 16)))
             assert x_hat.min() >= 0.0
 
     def test_latent_dimension(self):
-        net = ae.init_network(12, 16, 5, seed=4)
+        net = ae.AENetwork(12, 16, 5, seed=4)
         z, _ = net.forward_batch(np.ones((1, 12, 16)))
         assert z.shape == (1, 5)
 
     def test_encoder_positive_homogeneity(self):
         # conv + ReLU + maxpool is positively homogeneous when biases are 0
         # and all pre-activations stay positive.
-        net = ae.init_network(8, 8, 3, seed=5)
+        net = ae.AENetwork(8, 8, 3, seed=5)
         state = net.get_state()
         state["conv1.W"] = np.abs(state["conv1.W"])
         state["conv2.W"] = np.abs(state["conv2.W"])
@@ -83,25 +87,13 @@ class TestForward:
 
     def test_encoding_locality(self):
         # encode(bar) depends only on that bar, given fixed parameters.
-        net = ae.init_network(8, 8, 3, seed=7)
+        net = ae.AENetwork(8, 8, 3, seed=7)
         rng = np.random.default_rng(8)
         bar = rng.random((8, 8))
         other1, other2 = rng.random((8, 8)), rng.random((8, 8))
         z_a = net.encode_batch(np.stack([bar, other1]))[0]
         z_b = net.encode_batch(np.stack([bar, other2]))[0]
         assert np.array_equal(z_a, z_b)
-
-
-class TestMseLoss:
-    def test_equal_inputs(self):
-        x = np.random.default_rng(0).random((4, 4))
-        assert ae.mse_loss(x, x) == 0.0
-
-    def test_ones_vs_zeros(self):
-        assert ae.mse_loss(np.ones((3, 5)), np.zeros((3, 5))) == 1.0
-
-    def test_arithmetic(self):
-        assert ae.mse_loss(np.array([1.0, 2.0]), np.array([0.0, 0.0])) == 2.5
 
 
 class TestBackward:
@@ -130,13 +122,13 @@ class TestBackward:
         return worst
 
     def test_finite_difference_tiny_net(self):
-        net = ae.init_network(4, 8, 2, seed=0)
+        net = ae.AENetwork(4, 8, 2, seed=0)
         x = np.random.default_rng(1).random((4, 8))
         assert self.finite_difference_check(net, x) < 1e-4
 
     def test_finite_difference_every_layer_touched(self):
         # Per-tensor check so no layer type escapes coverage.
-        net = ae.init_network(4, 8, 2, seed=2)
+        net = ae.AENetwork(4, 8, 2, seed=2)
         x = np.random.default_rng(3).random((4, 8))
         grads, _ = net.backward_batch(x[None])
         params = net.parameters()
@@ -160,7 +152,7 @@ class TestBackward:
     def test_zero_loss_point_zero_gradients(self):
         # With all weights zero the reconstruction of a zero input is exact,
         # so every gradient vanishes.
-        net = ae.init_network(4, 8, 2, seed=5)
+        net = ae.AENetwork(4, 8, 2, seed=5)
         net.set_state({k: np.zeros_like(v) for k, v in net.parameters().items()})
         grads, _ = net.backward_batch(np.zeros((1, 4, 8)))
         for name, g in grads.items():
@@ -169,7 +161,7 @@ class TestBackward:
     def test_dead_relu_zero_gradient(self):
         # Force the decoder's first transposed conv to output negatives
         # everywhere: its ReLU is dead, so its incoming weights get no grad.
-        net = ae.init_network(4, 8, 2, seed=6)
+        net = ae.AENetwork(4, 8, 2, seed=6)
         state = net.get_state()
         state["deconv1.b"] = np.full_like(state["deconv1.b"], -1e6)
         net.set_state(state)
@@ -179,8 +171,8 @@ class TestBackward:
 
 
 class TestPlateauSchedule:
-    def run_trace(self, losses, **kwargs):
-        sched = ae.PlateauSchedule(**kwargs)
+    def run_trace(self, losses):
+        sched = ae.PlateauSchedule()
         lrs, stops = [], []
         for loss in losses:
             lr, stop, _ = sched.step(loss)
@@ -224,10 +216,9 @@ class TestTraining:
     def test_identical_bars_identical_embeddings(self):
         bar = np.random.default_rng(0).random((8, 8))
         bars = np.stack([bar] * 6)
-        cfg = ae.AEConfig(d_c=3, max_epochs=30, batch_size=4, seed=1)
-        result = ae.train_single_song(bars, cfg)
-        assert result.best_loss < ae.mse_loss(bar, ae.init_network(8, 8, 3, seed=1).decode_batch(
-            ae.init_network(8, 8, 3, seed=1).encode_batch(bars))[0])
+        result = ae.train_single_song(bars, d_c=3, max_epochs=30, batch_size=4, seed=1)
+        initial = ae.AENetwork(8, 8, 3, seed=1)
+        assert result.best_loss < np.mean((bar - initial.decode_batch(initial.encode_batch(bars))[0]) ** 2)
         Z = result.embedding
         assert Z.shape == (3, 6)
         assert np.abs(Z - Z[:, :1]).max() < 1e-6
@@ -235,39 +226,36 @@ class TestTraining:
     def test_zero_epochs_returns_initial_encoding(self):
         rng = np.random.default_rng(2)
         bars = rng.random((4, 8, 8))
-        cfg = ae.AEConfig(d_c=3, max_epochs=0, seed=3)
-        result = ae.train_single_song(bars, cfg)
-        reference = ae.init_network(8, 8, 3, seed=3).encode_batch(bars).T
+        result = ae.train_single_song(bars, d_c=3, max_epochs=0, seed=3)
+        reference = ae.AENetwork(8, 8, 3, seed=3).encode_batch(bars).T
         assert np.array_equal(result.embedding, reference)
         assert result.epochs_run == 0
 
     def test_training_determinism(self):
         rng = np.random.default_rng(4)
         bars = rng.random((6, 8, 8))
-        cfg = ae.AEConfig(d_c=2, max_epochs=15, batch_size=4, seed=5)
-        a = ae.train_single_song(bars.copy(), cfg)
-        b = ae.train_single_song(bars.copy(), cfg)
+        settings = dict(d_c=2, max_epochs=15, batch_size=4, seed=5)
+        a = ae.train_single_song(bars.copy(), **settings)
+        b = ae.train_single_song(bars.copy(), **settings)
         assert np.array_equal(a.embedding, b.embedding)
         assert np.array_equal(a.loss_trace, b.loss_trace)
 
     def test_best_loss_is_trace_minimum(self):
         rng = np.random.default_rng(6)
         bars = rng.random((5, 8, 8))
-        cfg = ae.AEConfig(d_c=2, max_epochs=25, batch_size=4, seed=7)
-        result = ae.train_single_song(bars, cfg)
+        result = ae.train_single_song(bars, d_c=2, max_epochs=25, batch_size=4, seed=7)
         assert result.best_loss <= result.loss_trace.min() + 1e-15
 
     def test_divergence_aborts(self):
         rng = np.random.default_rng(8)
         bars = rng.random((4, 8, 8)) * 1e160  # squared error overflows to inf
-        cfg = ae.AEConfig(d_c=2, max_epochs=5, seed=9)
         with pytest.raises(FloatingPointError):
-            ae.train_single_song(bars, cfg)
+            ae.train_single_song(bars, d_c=2, max_epochs=5, seed=9)
 
 
 # ---------------------------------------------------------------------------
 # Test-side copy of the channels-first (NCHW) network that the channels-last
-# layers replaced, run on the parameters of an `ae.init_network` network. The
+# layers replaced, run on the parameters of an `ae.AENetwork` network. The
 # module's network must match it byte for byte.
 # ---------------------------------------------------------------------------
 
@@ -458,13 +446,13 @@ class NCHWNetwork:
         return grads, float(np.mean((x_hat - x) ** 2))
 
 
-def nchw_train_single_song(bars, cfg):
+def nchw_train_single_song(bars, d_c, seed=42, max_epochs=1000, batch_size=8):
     """The training loop of `ae.train_single_song`, run on the NCHW network."""
     b, f, s = bars.shape
-    net = NCHWNetwork(ae.init_network(f, s, cfg.d_c, seed=cfg.seed))
-    rng = np.random.default_rng(cfg.seed)
+    net = NCHWNetwork(ae.AENetwork(f, s, d_c, seed=seed))
+    rng = np.random.default_rng(seed)
     optimizer = ae.AdamOptimizer(net.parameters())
-    schedule = ae.PlateauSchedule(cfg.lr0, cfg.lr_factor, cfg.plateau_patience, cfg.lr_min, cfg.early_stop_patience)
+    schedule = ae.PlateauSchedule()
 
     def full_loss():
         total = 0.0
@@ -475,11 +463,11 @@ def nchw_train_single_song(bars, cfg):
         return total / bars.size
 
     best_state, best_loss = net.get_state(), full_loss()
-    trace, lr, epochs_run = [], cfg.lr0, 0
-    for _ in range(cfg.max_epochs):
+    trace, lr, epochs_run = [], schedule.lr, 0
+    for _ in range(max_epochs):
         order = rng.permutation(b)
-        for start in range(0, b, cfg.batch_size):
-            grads, _ = net.backward_batch(bars[order[start : start + cfg.batch_size]])
+        for start in range(0, b, batch_size):
+            grads, _ = net.backward_batch(bars[order[start : start + batch_size]])
             optimizer.step(net.parameters(), grads, lr)
         epoch_loss = full_loss()
         trace.append(epoch_loss)
@@ -515,7 +503,7 @@ class TestMatchesNCHWReference:
     def test_backward_batch_byte_equal(self, n_bins, subdivision, d_c, batch):
         # Three SGD steps, so the biases move off zero. The zero-padded rows
         # of the 10-bin shape and the ReLU zeros give max-pool ties.
-        net = ae.init_network(n_bins, subdivision, d_c, seed=11)
+        net = ae.AENetwork(n_bins, subdivision, d_c, seed=11)
         ref = NCHWNetwork(net)
         x = np.random.default_rng(12).random((batch, n_bins, subdivision))
         for step in range(3):
@@ -530,7 +518,7 @@ class TestMatchesNCHWReference:
                     p -= 0.01 * g[name]
 
     def test_forward_byte_equal(self):
-        net = ae.init_network(10, 8, 2, seed=13)
+        net = ae.AENetwork(10, 8, 2, seed=13)
         x = np.random.default_rng(14).random((5, 10, 8))
         z, x_hat = net.forward_batch(x)
         ref_z, ref_x_hat = NCHWNetwork(net).forward_batch(x)
@@ -538,9 +526,9 @@ class TestMatchesNCHWReference:
         assert_same_bytes(x_hat, ref_x_hat, "x_hat")
 
     def test_train_single_song_byte_equal(self, acceptance_bars):
-        cfg = ae.AEConfig(d_c=8, seed=42, max_epochs=30)
-        result = ae.train_single_song(acceptance_bars, cfg)
-        embedding, trace, best_loss, epochs_run = nchw_train_single_song(acceptance_bars, cfg)
+        settings = dict(d_c=8, seed=42, max_epochs=30)
+        result = ae.train_single_song(acceptance_bars, **settings)
+        embedding, trace, best_loss, epochs_run = nchw_train_single_song(acceptance_bars, **settings)
         assert_same_bytes(result.loss_trace, trace, "loss_trace")
         assert_same_bytes(result.embedding, embedding, "embedding")
         assert result.best_loss == best_loss

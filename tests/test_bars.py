@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -43,6 +44,13 @@ class TestLoadDownbeats:
         path = tmp_path / "db.txt"
         path.write_text("0.5\n")
         with pytest.raises(ValueError, match="at least 2"):
+            bars.load_downbeats(path)
+
+    @pytest.mark.parametrize("text", ["0.0\n2.0\ninf\n", "0.0\nnan\n2.0\n", "-inf\n0.0\n2.0\n"])
+    def test_non_finite_rejected(self, tmp_path, text):
+        path = tmp_path / "db.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: downbeats must be finite$"):
             bars.load_downbeats(path)
 
     def test_garbage_line_rejected(self, tmp_path):

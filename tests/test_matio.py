@@ -149,3 +149,8 @@ class TestCsv:
         matio.write_csv_matrix(path, np.array([[1.0, 2.0], [3.5, -4.0]]))
         lines = path.read_text().splitlines()
         assert lines == ["1,2", "3.5,-4"]
+
+    def test_signed_zero_and_subnormal_bytes(self, tmp_path):
+        path = tmp_path / "m.csv"
+        matio.write_csv_matrix(path, np.array([[-0.0, 1e-320], [0.1, 2.0]]))
+        assert path.read_bytes() == b"-0,9.9998886718268301e-321\n0.10000000000000001,2\n"

@@ -249,6 +249,7 @@ class TestPipelineConfig:
         ("tolerances", (float("inf"),), r"tolerances must be finite and positive, got \(inf,\)"),
         ("tolerances", (0.0, 3.0), r"tolerances must be finite and positive, got \(0.0, 3.0\)"),
         ("tolerances", (-0.5,), r"tolerances must be finite and positive, got \(-0.5,\)"),
+        ("ae_max_epochs", 0, "ae_max_epochs must be >= 1, got 0"),
     ])
     def test_bad_setting_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -315,6 +316,15 @@ class TestCli:
         back = matio.read_bseg(tmp_path / "audio.chroma.bseg")
         assert back.shape[0] == 12
         assert "chroma" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--seed", "--subdivision"])
+    def test_features_takes_no_pipeline_only_flags(self, short_song_dir, tmp_path, capsys, flag):
+        # Neither flag changes the feature output, so the subcommand refuses them.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["features", str(short_song_dir / "audio.wav"), flag, "7", "--out", str(tmp_path / "out")])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_segment_subcommand(self, song_dir, tmp_path, capsys):
         rc = cli.main([
@@ -401,6 +411,7 @@ class TestCli:
         (["--tolerances=nan"], None, "tolerances must be finite and positive, got (nan,)"),
         (["--tolerances=0,3"], None, "tolerances must be finite and positive, got (0.0, 3.0)"),
         ([], "compressor = ae\nae_batch_size = 0\n", "ae_batch_size must be >= 1, got 0"),
+        (["--compressor", "ae", "--ae-max-epochs=-2"], None, "ae_max_epochs must be >= 1, got -2"),
     ])
     def test_bad_setting_exits_2_before_any_stage(self, song_dir, tmp_path, capsys, flags, config, message):
         if config is not None:
