@@ -17,8 +17,8 @@ Activations are channels-last (N,H,W,C) from the input to the flatten and
 from the unflatten to the output. The two dense layers index their weights
 by the channels-first (NCHW) position, so the flatten and the unflatten
 cross the bottleneck in that order. Only `backward_batch` runs the layers
-in training mode, which keeps what backward reads; the epoch-end loss pass
-and the final encoding keep nothing.
+in training mode, which keeps what backward reads until backward has read
+it; the epoch-end loss pass and the final encoding keep nothing.
 """
 
 from dataclasses import dataclass
@@ -131,7 +131,7 @@ def _channel_sum(gy):
 # ---------------------------------------------------------------------------
 # Layers. forward(x, train) keeps what backward reads only when train is
 # true, so an inference pass holds no caches. backward(gy, grads) stores
-# parameter gradients and returns the input's.
+# parameter gradients, returns the input's and drops the arrays it read.
 # ---------------------------------------------------------------------------
 
 
@@ -166,7 +166,8 @@ class Conv2D(ParamLayer):
         return _add_bias(out, self.b)
 
     def param_grads(self, gy, grads):
-        grads[self.name + ".W"] = conv2d_grad_kernel(self._col, gy, self.W.shape)
+        col, self._col = self._col, None
+        grads[self.name + ".W"] = conv2d_grad_kernel(col, gy, self.W.shape)
         grads[self.name + ".b"] = _channel_sum(gy)
 
     def backward(self, gy, grads):
@@ -193,7 +194,8 @@ class ConvTranspose2D(ParamLayer):
     def backward(self, gy, grads):
         # The adjoint convolution unfolds gy once for both gradients.
         gz, col = conv2d(gy, self.W, stride=2, pad=1)
-        grads[self.name + ".W"] = conv2d_grad_kernel(col, self._z, self.W.shape)
+        z, self._z = self._z, None
+        grads[self.name + ".W"] = conv2d_grad_kernel(col, z, self.W.shape)
         grads[self.name + ".b"] = _channel_sum(gy)
         return gz
 
@@ -205,7 +207,8 @@ class ReLU(Layer):
         return np.maximum(x, 0.0)
 
     def backward(self, gy, grads):
-        return np.where(self._mask, gy, 0.0)
+        mask, self._mask = self._mask, None
+        return np.where(mask, gy, 0.0)
 
 
 class MaxPool2x2(Layer):
@@ -232,7 +235,8 @@ class MaxPool2x2(Layer):
 
     def backward(self, gy, grads):
         gx = np.empty(self._in_shape)
-        for (i, j), mask in zip(self.OFFSETS, self._masks):
+        masks, self._masks = self._masks, None
+        for (i, j), mask in zip(self.OFFSETS, masks):
             np.multiply(gy, mask, out=gx[:, i::2, j::2])
         return gx
 
@@ -247,7 +251,8 @@ class Dense(ParamLayer):
         return x @ self.W.T + self.b
 
     def backward(self, gy, grads):
-        grads[self.name + ".W"] = gy.T @ self._x
+        x, self._x = self._x, None
+        grads[self.name + ".W"] = gy.T @ x
         grads[self.name + ".b"] = gy.sum(axis=0)
         return gy @ self.W
 

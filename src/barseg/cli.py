@@ -8,6 +8,8 @@ import sys
 from . import evaluate, features, matio, pipeline
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(pipeline.PipelineConfig)}
+# The config-file keys that change a `features` output; it ignores the rest.
+_FEATURE_KEYS = ("feature", "n_fft", "hop", "output_dir")
 
 
 def _load_config_file(path):
@@ -48,10 +50,15 @@ def _coerce_config(values, source):
     return out
 
 
-def _build_pipeline_config(args):
+def _build_pipeline_config(args, file_keys=None):
+    """PipelineConfig from the --config file, then the flags. With `file_keys`
+    the file's other PipelineConfig keys are ignored; unknown keys still fail."""
     cfg = {}
     if getattr(args, "config", None):
-        cfg.update(_coerce_config(_load_config_file(args.config), args.config))
+        values = _load_config_file(args.config)
+        if file_keys is not None:
+            values = {k: v for k, v in values.items() if k in file_keys or k not in _FIELD_TYPES}
+        cfg.update(_coerce_config(values, args.config))
     # A flag given as "" counts as not given, so --tolerances "" keeps the default.
     flags = {k: v for k, v in vars(args).items() if k in _FIELD_TYPES and v not in (None, "")}
     cfg.update(_coerce_config(flags, "command line"))
@@ -75,7 +82,7 @@ def _add_common(parser, with_compressor=True):
 
 
 def cmd_features(args):
-    cfg = _build_pipeline_config(args)
+    cfg = _build_pipeline_config(args, file_keys=_FEATURE_KEYS)
     signal = features.load_wav(cfg.audio_path)
     values = features.compute_feature(signal, cfg.feature, n_fft=cfg.n_fft, hop=cfg.hop)
     out_dir = cfg.output_dir or "."

@@ -1,4 +1,4 @@
-"""Low-rank barwise compression: PCA (truncated SVD) and NMF (HALS).
+"""Low-rank barwise compression: PCA (method of snapshots) and NMF (HALS).
 
 Both factor an n x b matrix of bar columns into W (n x d) and H (d x b);
 H holds the per-bar compressed representations used downstream.
@@ -22,12 +22,24 @@ class LowRankModel:
 
 
 def pca_compress(X, d_c):
-    """PCA via SVD of the column-debiased matrix.
+    """PCA of the column-debiased matrix by the method of snapshots.
 
-    W holds the top-d_c left singular vectors (orthonormal columns, sign
-    fixed so each column's largest-magnitude entry is positive), and
-    H = W.T @ (X - mu). The reconstruction mu + W @ H is the best rank-d_c
-    Frobenius approximation of X.
+    The principal components of the n x b centered matrix C come from the
+    eigendecomposition of its b x b bar Gram matrix C^T C (Sirovich, Q.
+    Appl. Math. 45(3), 1987), which is far cheaper than an SVD of C when
+    n >> b. C is first scaled by an exact power of two near 1/max|C|, so
+    the Gram matrix neither overflows nor underflows. With lam_j the j-th
+    largest eigenvalue and v_j its eigenvector, W's column j is
+    C v_j / sqrt(lam_j) (the j-th left singular vector of C), with its sign
+    fixed so its largest-magnitude entry is positive, and H = W.T @ C.
+    The reconstruction mu + W @ H is the best rank-d_c Frobenius
+    approximation of X.
+
+    A component at the rounding floor (lam_j <= b * eps * lam_1, or every
+    component when lam_1 == 0) gets a zero W column and so a zero H row.
+    That is the result for rank-deficient input, such as silence or d_c
+    above the rank of C; identical bars keep only the rounding residue of
+    their mean, as one component.
     """
     X = np.asarray(X, dtype=np.float64)
     n, b = X.shape
@@ -35,8 +47,12 @@ def pca_compress(X, d_c):
         raise ValueError(f"d_c={d_c} out of range for a {n}x{b} matrix")
     mu = X.mean(axis=1)
     centered = X - mu[:, None]
-    U, _, _ = np.linalg.svd(centered, full_matrices=False)
-    W = U[:, :d_c]
+    scaled = np.ldexp(centered, -np.frexp(np.abs(centered).max())[1])
+    lam, V = np.linalg.eigh(scaled.T @ scaled)
+    lam, V = lam[::-1][:d_c], V[:, ::-1][:, :d_c]
+    rank = np.count_nonzero(lam > b * np.finfo(np.float64).eps * lam[0])
+    W = np.zeros((n, d_c))
+    W[:, :rank] = (scaled @ V[:, :rank]) / np.sqrt(lam[:rank])
     signs = np.sign(W[np.argmax(np.abs(W), axis=0), np.arange(d_c)])
     signs[signs == 0] = 1.0
     W = W * signs

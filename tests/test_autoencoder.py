@@ -169,6 +169,17 @@ class TestBackward:
         assert np.all(grads["deconv1.W"] == 0.0)
         assert np.all(grads["fc_dec.W"] == 0.0)
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_no_cached_array_after_backward(self, batch):
+        # Backward drops what it read, so the epoch-end loss pass and the
+        # trained network hold no activations of the last minibatch.
+        net = ae.AENetwork(10, 8, 2, seed=8)
+        net.backward_batch(np.random.default_rng(9).random((batch, 10, 8)))
+        for layer in net.encoder + net.decoder:
+            for name, value in vars(layer).items():
+                if name.startswith("_"):
+                    assert not isinstance(value, (np.ndarray, list)), (type(layer).__name__, name)
+
 
 class TestPlateauSchedule:
     def run_trace(self, losses):

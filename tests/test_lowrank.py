@@ -1,15 +1,51 @@
 import numpy as np
 import pytest
 
-from barseg import lowrank
+from barseg import lowrank, segment
 
 
 def eckart_young_error(X, d_c):
-    """Oracle: best rank-d_c error of the centered matrix from its
-    covariance eigenvalues (independent of the SVD used by pca_compress)."""
+    """Oracle: best rank-d_c error of the centered matrix from the
+    eigenvalues of its Gram matrix. pca_compress uses the same
+    decomposition, so svd_tail_error is kept as an independent check."""
     centered = X - X.mean(axis=1, keepdims=True)
     eigvals = np.linalg.eigvalsh(centered.T @ centered)[::-1]
     return float(np.sqrt(np.maximum(eigvals[d_c:], 0.0).sum()))
+
+
+def svd_tail_error(X, d_c):
+    """Oracle: best rank-d_c error of the centered matrix from its singular
+    values, computed by an SVD that pca_compress does not use."""
+    centered = X - X.mean(axis=1, keepdims=True)
+    return float(np.linalg.norm(np.linalg.svd(centered, compute_uv=False)[d_c:]))
+
+
+def pca_svd_reference(X, d_c):
+    """Reference: PCA from the thin SVD of the n x b centered matrix, as
+    pca_compress computed it before the Gram-matrix eigendecomposition."""
+    X = np.asarray(X, dtype=np.float64)
+    n, b = X.shape
+    if not (1 <= d_c <= min(n, b)):
+        raise ValueError(f"d_c={d_c} out of range for a {n}x{b} matrix")
+    mu = X.mean(axis=1)
+    centered = X - mu[:, None]
+    U, _, _ = np.linalg.svd(centered, full_matrices=False)
+    W = U[:, :d_c]
+    signs = np.sign(W[np.argmax(np.abs(W), axis=0), np.arange(d_c)])
+    signs[signs == 0] = 1.0
+    W = W * signs
+    H = W.T @ centered
+    return lowrank.LowRankModel(kind="pca", W=W, H=H, mu=mu)
+
+
+def synthetic_barwise(seed, noise=0.3):
+    """A 7680 x 120 nonnegative barwise matrix (80 bins x 96 frames per bar)
+    in 8- and 16-bar sections of four repeated bar templates plus noise."""
+    labels = "A" * 8 + "B" * 16 + "A" * 8 + "C" * 16 + "D" * 8 + "B" * 8 + "A" * 16 + "C" * 8 + "D" * 16 + "B" * 8 + "A" * 8
+    rng = np.random.default_rng(seed)
+    templates = {c: 3 * rng.random((80, 96)) ** 4 for c in "ABCD"}
+    bars = [np.log1p(templates[c] * rng.uniform(0.8, 1.2) + noise * rng.random((80, 96))) for c in labels]
+    return np.stack([bar.ravel() for bar in bars], axis=1)
 
 
 class TestPCA:
@@ -68,6 +104,85 @@ class TestPCA:
     def test_rank_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             lowrank.pca_compress(np.ones((5, 3)), 4)
+
+    def test_svd_oracle_agrees(self):
+        rng = np.random.default_rng(7)
+        for shape, d_c in (((50, 30), 5), ((300, 40), 12), ((20, 60), 8)):
+            X = rng.standard_normal(shape)
+            err = np.linalg.norm(X - lowrank.pca_compress(X, d_c).reconstruct())
+            assert err == pytest.approx(svd_tail_error(X, d_c), rel=1e-9)
+            assert eckart_young_error(X, d_c) == pytest.approx(svd_tail_error(X, d_c), rel=1e-9)
+
+
+class TestPCARankDeficient:
+    """Components at the rounding floor get zero W columns and H rows."""
+
+    def test_rank_two_at_dc_8(self):
+        rng = np.random.default_rng(30)
+        X = rng.standard_normal((200, 2)) @ rng.standard_normal((2, 40)) + rng.standard_normal((200, 1))
+        model = lowrank.pca_compress(X, 8)
+        assert np.all(model.H[2:] == 0.0)
+        assert np.all(model.W[:, 2:] == 0.0)
+        assert np.all(np.abs(model.H[:2]).max(axis=1) > 0)
+        np.testing.assert_allclose(model.W[:, :2].T @ model.W[:, :2], np.eye(2), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.reconstruct(), X, rtol=0, atol=1e-12 * np.abs(X).max())
+
+    def test_zero_matrix(self):
+        model = lowrank.pca_compress(np.zeros((30, 12)), 4)
+        assert np.all(model.W == 0.0) and np.all(model.H == 0.0) and np.all(model.mu == 0.0)
+        assert np.all(model.reconstruct() == 0.0)
+
+    def test_wide_matrix(self):
+        X = np.random.default_rng(31).random((48, 120))
+        model = lowrank.pca_compress(X, 40)
+        assert np.all(np.isfinite(model.W)) and np.all(np.isfinite(model.H))
+        err = np.linalg.norm(X - model.reconstruct())
+        assert err == pytest.approx(svd_tail_error(X, 40), rel=1e-9)
+        A = segment.cosine_autosimilarity(model.H)
+        ref = segment.cosine_autosimilarity(pca_svd_reference(X, 40).H)
+        np.testing.assert_allclose(A, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_extreme_scale(self, scale):
+        rng = np.random.default_rng(32)
+        X = scale * (2.0 + rng.standard_normal((60, 25)))
+        model = lowrank.pca_compress(X, 6)
+        assert np.all(np.isfinite(model.W)) and np.all(np.isfinite(model.H))
+        assert np.all(np.abs(model.H).max(axis=1) > 0)
+        err = np.linalg.norm(X - model.reconstruct())
+        assert err == pytest.approx(eckart_young_error(X, 6), rel=1e-9)
+        np.testing.assert_allclose(model.W.T @ model.W, np.eye(6), rtol=0, atol=1e-12)
+
+
+class TestPCAMatchesSVDReference:
+    """The Gram-matrix PCA spans the SVD's components: the cosine
+    autosimilarity of H, which is all the DP reads, agrees to 1e-12."""
+
+    def assert_same_segmentation(self, X, d_c):
+        A = segment.cosine_autosimilarity(lowrank.pca_compress(X, d_c).H)
+        ref = segment.cosine_autosimilarity(pca_svd_reference(X, d_c).H)
+        np.testing.assert_allclose(A, ref, rtol=0, atol=1e-12)
+        seg, ref_seg = segment.dp_segment(A), segment.dp_segment(ref)
+        assert list(seg.boundaries_bars) == list(ref_seg.boundaries_bars)
+        assert seg.total_score == pytest.approx(ref_seg.total_score, rel=1e-12)
+
+    # Centered random bars are near-orthogonal, so every 8-bar window scores
+    # below zero and the DP warns that it rescales the cosine. At d_c == b
+    # the last component is at the rounding floor.
+    @pytest.mark.filterwarnings("ignore:c_k8_max=.* is not positive")
+    @pytest.mark.parametrize("shape, d_c", [((2000, 40), 8), ((4000, 64), 16), ((1500, 30), 30)])
+    def test_random_tall(self, shape, d_c):
+        X = np.random.default_rng(shape[1]).random(shape)
+        self.assert_same_segmentation(X, d_c)
+
+    @pytest.mark.parametrize("d_c", [8, 16, 24, 32])
+    def test_synthetic_barwise_7680x120(self, d_c):
+        self.assert_same_segmentation(synthetic_barwise(seed=0), d_c)
+
+    def test_sign_convention_kept(self):
+        X = synthetic_barwise(seed=1)
+        W = lowrank.pca_compress(X, 8).W
+        np.testing.assert_allclose(W, pca_svd_reference(X, 8).W, rtol=0, atol=1e-10)
 
 
 class TestNMF:

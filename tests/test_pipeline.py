@@ -326,6 +326,47 @@ class TestCli:
         assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_features_config_ignores_keys_that_change_no_feature(self, short_song_dir, tmp_path):
+        # One config file serves features and segment alike: features reads
+        # only its feature keys, so a segment-only value cannot fail it.
+        audio = str(short_song_dir / "audio.wav")
+        assert cli.main(["features", audio, "--out", str(tmp_path / "plain")]) == 0
+        config = tmp_path / "run.cfg"
+        config.write_text("subdivision = 0\ncompressor = ae\nae_max_epochs = 5\n")
+        assert cli.main(["features", audio, "--config", str(config), "--out", str(tmp_path / "cfg")]) == 0
+        for suffix in ("nnlms.csv", "nnlms.bseg"):
+            plain = (tmp_path / "plain" / f"audio.{suffix}").read_bytes()
+            assert (tmp_path / "cfg" / f"audio.{suffix}").read_bytes() == plain, suffix
+
+    def test_features_config_applies_feature_key(self, short_song_dir, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"feature = mel\noutput_dir = {tmp_path / 'out'}\n")
+        assert cli.main(["features", str(short_song_dir / "audio.wav"), "--config", str(config)]) == 0
+        assert matio.read_bseg(tmp_path / "out" / "audio.mel.bseg").shape[0] == 80
+        assert capsys.readouterr().out.startswith("mel: 80 bins")
+
+    def test_features_config_unknown_key_rejected(self, short_song_dir, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("feature = mel\nbogus = 1\n")
+        rc = cli.main(["features", str(short_song_dir / "audio.wav"), "--config", str(config),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"barseg: error: {config}: unknown config key 'bogus'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_silent_song_under_pca_is_one_segment(self, silent_song_dir, tmp_path, capsys):
+        # Every PCA component of silence is at the rounding floor, so H is
+        # zero and the autosimilarity is degenerate.
+        with pytest.warns(UserWarning, match=r"degenerate autosimilarity: c_k8_max=0\.0"):
+            rc = cli.main([
+                "segment", str(silent_song_dir / "audio.wav"),
+                "--downbeats", str(silent_song_dir / "downbeats.txt"),
+                "--compressor", "pca", "--dc", "8", "--out", str(tmp_path),
+            ])
+        assert rc == 0
+        assert "boundaries (bars) [0, 16]" in capsys.readouterr().out
+        assert json.loads((tmp_path / "audio.result.json").read_text())["boundaries_bars"] == [0, 16]
+
     def test_segment_subcommand(self, song_dir, tmp_path, capsys):
         rc = cli.main([
             "segment", str(song_dir / "audio.wav"),
