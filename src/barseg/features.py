@@ -13,12 +13,11 @@ chunk; or from `compute_feature`, at every frame. Both give plain f x T
 arrays.
 """
 
-import warnings
+import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-import scipy.io.wavfile
 
 DEFAULT_N_FFT = 2048
 DEFAULT_HOP = 32
@@ -47,17 +46,15 @@ class AudioSignal:
 
 
 def load_wav(path):
-    """Decode a PCM WAV file into a mono AudioSignal.
+    """Decode a PCM or IEEE-float WAV file into a mono AudioSignal.
 
     Integer samples are scaled to [-1, 1]; stereo channels are averaged.
-    Non-PCM codecs and truncated files are rejected.
+    Non-PCM codecs, truncated files and partial frames are rejected.
     """
     try:
-        with warnings.catch_warnings():
-            # Truncated payloads only warn by default; treat them as corrupt.
-            warnings.simplefilter("error", scipy.io.wavfile.WavFileWarning)
-            sr, raw = scipy.io.wavfile.read(path)
-    except Exception as exc:
+        with open(path, "rb") as fh:
+            sr, raw = _read_wav(fh)
+    except (OSError, ValueError) as exc:
         raise ValueError(f"{path}: cannot decode WAV file ({exc})") from exc
     if raw.dtype == np.int16:
         samples = raw.astype(np.float64) / 32768.0
@@ -72,6 +69,93 @@ def load_wav(path):
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
     return AudioSignal(samples=samples, sample_rate=int(sr))
+
+
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+
+
+def _read_exactly(fh, n):
+    """The next n bytes of fh. A size past the file's end raises before any buffer is made."""
+    short = n - (os.fstat(fh.fileno()).st_size - fh.tell())
+    if short > 0:
+        raise ValueError(f"file ends {short} bytes early")
+    return fh.read(n)
+
+
+def _read_wav(fh):
+    """(sample rate, samples) of a RIFF, RIFX or RF64 WAVE file.
+
+    Chunks are read up to the first `data` chunk; chunks other than
+    `fmt ` and `ds64` are skipped, with their pad byte. Samples keep
+    their stored type in native byte order: uint8 (1-8 bits), int16,
+    int32 (3-byte samples widened left-justified, so 24-bit x becomes
+    x * 256), float32 or float64. Several channels give frames x
+    channels.
+    """
+    riff, _, form = struct.unpack("<4sI4s", _read_exactly(fh, 12))
+    if riff not in (b"RIFF", b"RIFX", b"RF64") or form != b"WAVE":
+        raise ValueError(f"not a WAVE file (header {riff!r}, form {form!r})")
+    order = ">" if riff == b"RIFX" else "<"
+    fmt = rf64_data_size = None
+    while True:
+        chunk_id, size = struct.unpack(order + "4sI", _read_exactly(fh, 8))
+        if chunk_id == b"data":
+            break
+        if chunk_id in (b"fmt ", b"ds64"):
+            body = _read_exactly(fh, size)
+            if chunk_id == b"fmt ":
+                fmt = _parse_fmt(body, order)
+            elif size >= 16:
+                rf64_data_size = struct.unpack_from("<8xQ", body)[0]
+            fh.seek(size % 2, 1)
+        else:
+            fh.seek(size + size % 2, 1)
+    if fmt is None:
+        raise ValueError("no fmt chunk before the data chunk")
+    if riff == b"RF64":
+        if rf64_data_size is None:
+            raise ValueError("RF64 file without a ds64 chunk")
+        size = rf64_data_size  # the data chunk's own size field is a placeholder
+    tag, channels, rate, block_align, bits = fmt
+    width = block_align // channels
+    if tag == _PCM and 1 <= bits <= 8 and width == 1:
+        dtype = "u1"
+    elif tag == _PCM and not 1 <= bits <= 8 and (width == 3 or width in (2, 4) and bits <= 64):
+        dtype = f"{order}i{width}"
+    elif tag == _IEEE_FLOAT and bits in (32, 64) and width in (4, 8):
+        dtype = f"{order}f{width}"
+    else:
+        raise ValueError(f"unsupported sample format (format tag {tag}, {bits} bits in {width} bytes)")
+    if size % (width * channels):
+        raise ValueError(f"data chunk of {size} bytes holds a partial {width * channels}-byte frame")
+    payload = _read_exactly(fh, size)
+    if width == 3:
+        triples = np.frombuffer(payload, np.uint8).reshape(-1, 3)
+        wide = np.zeros((len(triples), 4), np.uint8)
+        (wide[:, 1:] if order == "<" else wide[:, :3])[...] = triples
+        payload, dtype = wide, f"{order}i4"
+    raw = np.frombuffer(payload, dtype)
+    raw = raw.astype(raw.dtype.newbyteorder("="), copy=False)
+    return rate, raw.reshape(-1, channels) if channels > 1 else raw
+
+
+def _parse_fmt(body, order):
+    """(format tag, channels, sample rate, block align, bits per sample) of a fmt chunk.
+
+    A WAVE_FORMAT_EXTENSIBLE tag is replaced by the tag in its subformat
+    GUID, {tag-0000-0010-8000-00AA00389B71} (RFC 2361), whose first three
+    fields are stored in the file's byte order.
+    """
+    if len(body) < 16:
+        raise ValueError(f"fmt chunk of {len(body)} bytes is too short")
+    tag, channels, rate, _, block_align, bits = struct.unpack_from(order + "HHIIHH", body)
+    if channels == 0:
+        raise ValueError("fmt chunk declares no channels")
+    guid_tail = struct.pack(order + "HH", 0, 0x10) + b"\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    if (tag == _EXTENSIBLE and len(body) >= 40 and struct.unpack_from(order + "H", body, 16)[0] >= 22
+            and body[28:40] == guid_tail):
+        tag = struct.unpack_from(order + "I", body, 24)[0]
+    return tag, channels, rate, block_align, bits
 
 
 def _hann_window(n_fft):
@@ -262,6 +346,8 @@ def _fold_pitch_classes(power_values, classes):
 
 def mfcc_from_log_mel(log_mel_values, n_coeffs=N_MFCC):
     """Orthonormal DCT-II over the band axis, keeping the first n_coeffs."""
+    import scipy.fft  # imported here: no other feature needs SciPy
+
     coeffs = scipy.fft.dct(np.asarray(log_mel_values, dtype=np.float64), type=2, norm="ortho", axis=0)
     return coeffs[:n_coeffs]
 

@@ -6,8 +6,10 @@ chords in disjoint frequency bands so their time-frequency content is
 well separated.
 """
 
+import os
+import wave
+
 import numpy as np
-import scipy.io.wavfile
 
 from .bars import BarGrid
 from .evaluate import BoundarySet
@@ -59,13 +61,15 @@ def make_song(structure=DEFAULT_STRUCTURE, bar_seconds=0.5, sample_rate=44100,
 
 def write_song_dir(directory, structure=DEFAULT_STRUCTURE, bar_seconds=0.5,
                    sample_rate=44100, noise_db=-30.0, seed=1234):
-    """Write audio.wav, downbeats.txt, and annotations.txt for one song."""
-    import os
-
+    """Write audio.wav (16-bit mono PCM), downbeats.txt, and annotations.txt for one song."""
     os.makedirs(directory, exist_ok=True)
     samples, grid, annot = make_song(structure, bar_seconds, sample_rate, noise_db, seed)
     pcm = np.clip(samples * 32767.0, -32768, 32767).astype(np.int16)
-    scipy.io.wavfile.write(os.path.join(directory, "audio.wav"), sample_rate, pcm)
+    with wave.open(os.path.join(directory, "audio.wav"), "wb") as out:
+        out.setnchannels(1)
+        out.setsampwidth(2)
+        out.setframerate(sample_rate)
+        out.writeframes(pcm.astype("<i2").tobytes())
     with open(os.path.join(directory, "downbeats.txt"), "w") as fh:
         for t in grid.downbeats:
             fh.write(f"{t:.6f}\n")

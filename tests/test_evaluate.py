@@ -101,6 +101,9 @@ boundary_sets = st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True
     lambda ticks: np.array(sorted(ticks)) * 0.25
 )
 
+# Unsorted times with repeats, on the same grid.
+raw_time_lists = st.lists(st.integers(0, 40), min_size=1, max_size=6).map(lambda ticks: np.array(ticks) * 0.25)
+
 
 class TestHitRateProperties:
     @settings(derandomize=True, deadline=None)
@@ -112,6 +115,16 @@ class TestHitRateProperties:
         assert len({i for i, _ in fwd.matched_pairs}) == len({j for _, j in fwd.matched_pairs}) == fwd.n_matched
         assert all(abs(est[i] - ref[j]) <= tol for i, j in fwd.matched_pairs)
         assert (fwd.precision, fwd.recall) == (rev.recall, rev.precision)
+
+    @settings(derandomize=True, deadline=None)
+    @given(est=raw_time_lists, ref=raw_time_lists, tol=st.sampled_from([0.25, 0.5, 1.0, 3.0]))
+    def test_unsorted_and_repeated_times_match_brute_force(self, est, ref, tol):
+        # hit_rate accepts raw arrays, so the matching must not assume order.
+        res = evaluate.hit_rate(est, ref, tol)
+        assert res.n_matched == brute_force_matching(est, ref, tol)
+        assert len({i for i, _ in res.matched_pairs}) == len({j for _, j in res.matched_pairs}) == res.n_matched
+        assert all(abs(est[i] - ref[j]) <= tol for i, j in res.matched_pairs)
+        assert res.matched_pairs == sorted(res.matched_pairs)
 
 
 class TestAlignToDownbeats:

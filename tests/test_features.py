@@ -1,8 +1,10 @@
 import ctypes
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +102,174 @@ def one_blas_thread():
         yield
     finally:
         put(before)
+
+
+def scipy_load_wav(path):
+    """The SciPy-based `features.load_wav` that the struct reader replaced, kept as its reference."""
+    try:
+        with warnings.catch_warnings():
+            # Truncated payloads only warn by default; treat them as corrupt.
+            warnings.simplefilter("error", scipy.io.wavfile.WavFileWarning)
+            sr, raw = scipy.io.wavfile.read(path)
+    except Exception as exc:
+        raise ValueError(f"{path}: cannot decode WAV file ({exc})") from exc
+    if raw.dtype == np.int16:
+        samples = raw.astype(np.float64) / 32768.0
+    elif raw.dtype == np.int32:
+        samples = raw.astype(np.float64) / 2147483648.0
+    elif raw.dtype == np.uint8:
+        samples = (raw.astype(np.float64) - 128.0) / 128.0
+    elif raw.dtype in (np.float32, np.float64):
+        samples = raw.astype(np.float64)
+    else:
+        raise ValueError(f"{path}: unsupported WAV sample format {raw.dtype}")
+    if samples.ndim == 2:
+        samples = samples.mean(axis=1)
+    return features.AudioSignal(samples=samples, sample_rate=int(sr))
+
+
+def chunk(chunk_id, body, order="<", size=None):
+    """One RIFF chunk: id, size (len(body) unless given), body and the pad byte of an odd size."""
+    size = len(body) if size is None else size
+    return chunk_id + struct.pack(order + "I", size) + body + b"\0" * (len(body) % 2)
+
+
+def fmt_chunk(tag, channels, bits, width, rate=44100, order="<", extensible=False):
+    """A fmt chunk; an extensible one carries `tag` in its subformat GUID."""
+    block = width * channels
+    fields = (0xFFFE if extensible else tag, channels, rate, rate * block, block, bits)
+    body = struct.pack(order + "HHIIHH", *fields)
+    if extensible:
+        guid = struct.pack(order + "IHH", tag, 0, 0x10) + b"\x80\x00\x00\xaa\x00\x38\x9b\x71"
+        body += struct.pack(order + "HHI", 22, bits, 0) + guid
+    return chunk(b"fmt ", body, order)
+
+
+def riff_file(*chunks, order="<"):
+    body = b"WAVE" + b"".join(chunks)
+    return (b"RIFX" if order == ">" else b"RIFF") + struct.pack(order + "I", len(body)) + body
+
+
+def rf64_file(fmt, payload):
+    """An RF64 file: sizes in a ds64 chunk, and 0xFFFFFFFF in the RIFF and data size fields."""
+    tail = fmt + chunk(b"data", payload, size=0xFFFFFFFF)
+    ds64 = chunk(b"ds64", struct.pack("<QQQI", 4 + 36 + len(tail), len(payload), 0, 0))
+    return b"RF64" + struct.pack("<I", 0xFFFFFFFF) + b"WAVE" + ds64 + tail
+
+
+# name: (format tag, bits, bytes per sample, NumPy type of the stored samples or None for 3 bytes)
+WAV_FORMATS = {
+    "uint8": (1, 8, 1, "u1"),
+    "int16": (1, 16, 2, "i2"),
+    "int24": (1, 24, 3, None),
+    "int32": (1, 32, 4, "i4"),
+    "float32": (3, 32, 4, "f4"),
+    "float64": (3, 64, 8, "f8"),
+}
+
+
+def wav_payload(name, channels, n_frames=301, order="<", seed=0):
+    """Random samples of a format, as the bytes of a data chunk."""
+    _, _, width, kind = WAV_FORMATS[name]
+    rng = np.random.default_rng(seed)
+    n = n_frames * channels
+    if kind is None:
+        triples = np.frombuffer(rng.bytes(3 * n), np.uint8).reshape(n, 3)
+        return (triples[:, ::-1] if order == ">" else triples).tobytes()
+    if kind.startswith("f"):
+        return rng.uniform(-1, 1, n).astype(order + kind).tobytes()
+    info = np.iinfo(kind)
+    return rng.integers(info.min, info.max, n, endpoint=True).astype(order + kind).tobytes()
+
+
+def wav_bytes(name, channels, order="<", extensible=False, seed=0):
+    tag, bits, width, _ = WAV_FORMATS[name]
+    fmt = fmt_chunk(tag, channels, bits, width, order=order, extensible=extensible)
+    return riff_file(fmt, chunk(b"data", wav_payload(name, channels, order=order, seed=seed), order), order=order)
+
+
+def decode_bytes(tmp_path, data, reader=None):
+    path = tmp_path / "probe.wav"
+    path.write_bytes(data)
+    return (reader or features.load_wav)(path)
+
+
+class TestLoadWavMatchesScipy:
+    """`load_wav` gives the SciPy-based reader's samples, byte for byte."""
+
+    def assert_same(self, tmp_path, data):
+        new = decode_bytes(tmp_path, data)
+        old = decode_bytes(tmp_path, data, scipy_load_wav)
+        assert new.sample_rate == old.sample_rate
+        assert new.samples.tobytes() == old.samples.tobytes()
+
+    @pytest.mark.parametrize("channels", [1, 2, 6])
+    @pytest.mark.parametrize("name", list(WAV_FORMATS))
+    def test_format(self, tmp_path, name, channels):
+        self.assert_same(tmp_path, wav_bytes(name, channels))
+
+    @pytest.mark.parametrize("name", list(WAV_FORMATS))
+    def test_extensible(self, tmp_path, name):
+        self.assert_same(tmp_path, wav_bytes(name, 2, extensible=True))
+
+    def test_scipy_written_files(self, tmp_path):
+        # SciPy's writer adds a fact chunk and a cbSize field to float files.
+        rng = np.random.default_rng(3)
+        for data in (rng.uniform(-1, 1, (500, 2)).astype(np.float32), rng.integers(-9, 9, 500).astype(np.int16)):
+            path = tmp_path / "written.wav"
+            scipy.io.wavfile.write(path, 22050, data)
+            self.assert_same(tmp_path, path.read_bytes())
+
+    def test_rifx_uint8(self, tmp_path):
+        self.assert_same(tmp_path, wav_bytes("uint8", 2, order=">"))
+
+    @pytest.mark.parametrize("name", list(WAV_FORMATS))
+    def test_rifx_matches_riff(self, tmp_path, name):
+        # Wider RIFX samples came back big-endian from SciPy, which the
+        # scaling code did not accept; they now decode as the RIFF file does.
+        riff = decode_bytes(tmp_path, wav_bytes(name, 2))
+        rifx = decode_bytes(tmp_path, wav_bytes(name, 2, order=">"))
+        assert rifx.samples.tobytes() == riff.samples.tobytes()
+
+    @pytest.mark.parametrize("name", ["int16", "int24", "float64"])
+    def test_rf64(self, tmp_path, name):
+        tag, bits, width, _ = WAV_FORMATS[name]
+        self.assert_same(tmp_path, rf64_file(fmt_chunk(tag, 2, bits, width), wav_payload(name, 2)))
+
+    def test_24_bit_is_left_justified(self, tmp_path):
+        payload = bytes([0x01, 0x00, 0x80, 0xFF, 0xFF, 0x7F])  # -2**23 + 1, then 2**23 - 1
+        sig = decode_bytes(tmp_path, riff_file(fmt_chunk(1, 1, 24, 3), chunk(b"data", payload)))
+        assert sig.samples.tolist() == [(-2**23 + 1) / 2**23, (2**23 - 1) / 2**23]
+
+    def test_extra_chunks_are_skipped(self, tmp_path):
+        # A Broadcast WAV bext chunk and an odd-sized LIST chunk, with its
+        # pad byte, on each side of the data chunk.
+        payload = wav_payload("int16", 1)
+        extras = chunk(b"bext", b"\0" * 4) + chunk(b"LIST", b"INFOISFT\x05\0\0\0abcd\0")
+        plain = decode_bytes(tmp_path, riff_file(fmt_chunk(1, 1, 16, 2), chunk(b"data", payload)))
+        data = riff_file(fmt_chunk(1, 1, 16, 2), extras, chunk(b"data", payload), extras)
+        assert decode_bytes(tmp_path, data).samples.tobytes() == plain.samples.tobytes()
+
+    @pytest.mark.parametrize("case", [
+        "truncated payload", "partial stereo frame", "partial 24-bit sample", "data before fmt",
+        "adpcm", "16-bit float", "8-byte pcm", "no channels",
+    ])
+    def test_rejected(self, tmp_path, case):
+        fmt16 = fmt_chunk(1, 2, 16, 2)
+        data = {
+            "truncated payload": wav_bytes("int16", 2)[:-10],
+            "partial stereo frame": riff_file(fmt16, chunk(b"data", b"\1" * 6)),
+            "partial 24-bit sample": riff_file(fmt_chunk(1, 1, 24, 3), chunk(b"data", b"\1" * 7)),
+            "data before fmt": riff_file(chunk(b"data", b"\0" * 8), fmt16),
+            "adpcm": riff_file(fmt_chunk(2, 1, 4, 1), chunk(b"data", b"\0" * 8)),
+            "16-bit float": riff_file(fmt_chunk(3, 1, 16, 2), chunk(b"data", b"\0" * 8)),
+            "8-byte pcm": riff_file(fmt_chunk(1, 1, 64, 8), chunk(b"data", b"\0" * 16)),
+            "no channels": riff_file(fmt_chunk(1, 0, 16, 2), chunk(b"data", b"\0" * 8)),
+        }[case]
+        with pytest.raises(ValueError, match="cannot decode WAV file"):
+            decode_bytes(tmp_path, data)
+        with pytest.raises(ValueError):
+            decode_bytes(tmp_path, data, scipy_load_wav)
 
 
 class TestLoadWav:
@@ -215,12 +385,15 @@ class TestStftPower:
         assert np.array_equal(features._hann_window(n_fft), expected)
 
     def test_import_leaves_scipy_signal_unloaded(self):
-        # scipy.signal costs most of the package import time; the
-        # window is built directly so `import barseg` stays cheap.
+        # SciPy costs most of the package import time; the window is built
+        # directly, the WAV reader uses struct and NumPy, and the MFCC DCT
+        # imports scipy.fft when called, so `import barseg` loads no SciPy.
         src = os.path.dirname(os.path.dirname(features.__file__))
-        code = "import sys, barseg; sys.exit('scipy.signal' in sys.modules)"
+        code = "import sys, barseg; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         env = {**os.environ, "PYTHONPATH": src}
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
 
 # The default grid, odd hops, hop == n_fft, and a 33-bin STFT.

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -54,6 +56,16 @@ def pca_run(song_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("out_pca")
     cfg = make_config(song_dir, out)
     return pipeline.run_song(cfg), out, cfg
+
+
+class TestWriteSongDir:
+    @pytest.mark.parametrize("structure, bar_seconds, rate", [("AB", 0.5, 44100), ("ABC", 0.3333, 22050)])
+    def test_wav_bytes_match_scipy_writer(self, tmp_path, structure, bar_seconds, rate):
+        synthetic.write_song_dir(tmp_path / "song", structure, bar_seconds, rate)
+        samples, _, _ = synthetic.make_song(structure, bar_seconds, rate)
+        pcm = np.clip(samples * 32767.0, -32768, 32767).astype(np.int16)
+        scipy.io.wavfile.write(tmp_path / "scipy.wav", rate, pcm)
+        assert (tmp_path / "song" / "audio.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
 
 
 class TestRunSong:
@@ -378,6 +390,21 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "F=1.000" in out
+        assert (tmp_path / "audio.result.json").exists()
+
+    def test_segment_loads_no_scipy(self, short_song_dir, tmp_path):
+        # Neither the import nor an nnlms/PCA call pays for SciPy: it serves only the MFCC DCT.
+        song = short_song_dir
+        argv = ["segment", str(song / "audio.wav"), "--downbeats", str(song / "downbeats.txt"),
+                "--annotations", str(song / "annotations.txt"), "--feature", "nnlms",
+                "--compressor", "pca", "--out", str(tmp_path)]
+        code = ("import sys, barseg.cli; rc = barseg.cli.main(sys.argv[1:]); "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy'))); sys.exit(rc)")
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
         assert (tmp_path / "audio.result.json").exists()
 
     def test_segment_dc_sweep(self, song_dir, tmp_path, capsys):
