@@ -8,9 +8,24 @@ its log (LMS) and nonnegative log (NNLMS) variants, and MFCC (32
 coefficients from an internal 128-band full-range log-Mel basis).
 
 Features come from `FeatureFrames`, which computes one at chosen frames
-only, 256 frames at a time, from samples to feature before the next
-chunk; or from `compute_feature`, at every frame. Both give plain f x T
+only; or from `compute_feature`, at every frame. Both give plain f x T
 arrays.
+
+`FeatureFrames.at` takes its frames in chunks of 256 or more, each from
+samples to feature before its worker takes the next. Two workers, the
+calling thread and one helper thread, draw chunks from one shared list
+and write disjoint column slices of the output; a process that may use
+only one CPU, or a call of one chunk, runs on the calling thread alone.
+The threads pay because each step is a NumPy call on thousands of
+values, which releases the GIL. Within a chunk, framing, window, rFFT
+and power go 16 frames at a time into that worker's power block, and
+the filterbank GEMM runs once over the whole block. So beyond the
+output, a call holds one power block per worker, of (n_fft/2 + 1) x
+256..511 values (2-4 MB at n_fft=2048), and one sub-block's temporaries
+per worker (about 1 MB). More workers or larger sub-blocks would raise
+the peak RSS of the rest of the process: what the helper thread
+allocates stays in its own malloc arena after the call. Every output
+byte is the same on one worker and on two.
 """
 
 import os
@@ -163,11 +178,18 @@ def _hann_window(n_fft):
     return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n_fft + 1)[:-1])
 
 
-# Frames per chunk. Each chunk goes from samples to its feature before the
-# next one starts, so only the f x frames output grows with the number of
-# frames. At n_fft=2048 a chunk's temporaries are 4 MB each; 256 frames ran
-# 2.3x faster than 4096 on a 2-core x86-64 host.
+# Frames per chunk. Each chunk goes from samples to its feature before its
+# worker takes the next, so only the f x frames output grows with the number
+# of frames. A chunk's power block is (n_fft/2 + 1) x 256..511 values, 2-4 MB
+# at n_fft=2048; 256 frames ran 2.3x faster than 4096 on a 2-core x86-64 host.
 _CHUNK = 256
+# Frames per framing, window, rFFT and power step inside a chunk. np.fft.rfft
+# gives each row the same bytes whatever the number of rows per call, so the
+# sub-blocks change no output byte. At n_fft=2048 their largest temporaries
+# are 256 KB. The helper thread's malloc arena keeps what they took: with
+# 64-frame sub-blocks, the 16 s acceptance song's AE call peaked at 94.6 MB
+# RSS, against 90.0 MB with 16 and 87.4 MB with no helper thread.
+_SUB_BLOCK = 16
 
 
 def _chunks(n):
@@ -189,35 +211,40 @@ def _chunks(n):
     return zip(starts, starts[1:] + [n])
 
 
-def _power_chunks(x, frames, n_fft, hop):
-    """Power STFT of `x` at the given frame indices, one chunk at a time.
+def _fill_power(x, rows, window, first, power):
+    """Write the power STFT of the frames whose first samples are `first` into `power`.
 
-    Yields (start, stop, power), where power is the (n_fft/2 + 1) x
-    (stop - start) block for frames[start:stop], in their order. The block
-    lives in one buffer that the next chunk overwrites.
-
-    Frame t is centered on sample t*hop. A frame wholly inside the signal
-    is row t*hop - n_fft//2 of a sliding-window view of it; a chunk that
-    reaches past either end gathers reflected indices instead, as
-    np.pad(mode="reflect") would give them.
+    `power` is (n_fft/2 + 1) x len(first); column k is the frame at
+    x[first[k]:first[k] + n_fft], reflected at both ends as
+    np.pad(mode="reflect") would give it. The frames go _SUB_BLOCK at a
+    time. A sub-block wholly inside the signal takes rows of `rows`, the
+    sliding-window view of x (None for a signal shorter than n_fft); one
+    that reaches past either end gathers reflected indices instead.
     """
-    n = len(x)
-    half = n_fft // 2
-    window = _hann_window(n_fft)
-    rows = np.lib.stride_tricks.sliding_window_view(x, n_fft) if n >= n_fft else None
-    buffer = np.empty((half + 1) * 2 * _CHUNK)
-    for start, stop in _chunks(len(frames)):
-        first = frames[start:stop] * hop - half
-        if rows is not None and first.min() >= 0 and first.max() < len(rows):
-            framed = rows[first]
+    n, n_fft = len(x), len(window)
+    for lo in range(0, len(first), _SUB_BLOCK):
+        block = first[lo:lo + _SUB_BLOCK]
+        if rows is not None and block.min() >= 0 and block.max() < len(rows):
+            framed = rows[block]
         else:
-            idx = np.abs(first[:, None] + np.arange(n_fft))
+            idx = np.abs(block[:, None] + np.arange(n_fft))
             framed = x[np.where(idx >= n, 2 * (n - 1) - idx, idx)]
         framed *= window
         spectrum = np.fft.rfft(framed, axis=1)
-        power = buffer[:spectrum.size].reshape(half + 1, stop - start)
-        power[...] = (spectrum.real**2 + spectrum.imag**2).T
-        yield start, stop, power
+        power[:, lo:lo + len(block)] = (spectrum.real**2 + spectrum.imag**2).T
+
+
+def _worker_count():
+    """Threads `FeatureFrames.at` runs on: two if the process may use two CPUs, else one.
+
+    A third thread would keep a third malloc arena after the call, which
+    adds to the process's peak RSS (see the module docstring).
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        cpus = os.cpu_count() or 1
+    return 2 if cpus >= 2 else 1
 
 
 def _feature_of_power(kind, n_fft, sample_rate):
@@ -275,16 +302,40 @@ class FeatureFrames:
     def at(self, frames):
         """f x len(frames) feature values at the given frame indices.
 
-        Each chunk of frames is reduced to its feature before the next
-        chunk's STFT, so memory beyond the output stays bounded.
+        Each chunk of frames is reduced to its feature before its worker
+        takes the next chunk, so memory beyond the output stays bounded.
         """
         frames = np.asarray(frames, dtype=np.int64)
         if frames.size and not (0 <= frames.min() and frames.max() < self.n_frames):
             raise IndexError(f"frame indices must lie in [0, {self.n_frames})")
         n_rows, feature_of = _feature_of_power(self.feature_kind, self.n_fft, self.sample_rate)
         out = np.empty((n_rows, len(frames)))
-        for start, stop, power in _power_chunks(self.signal.samples, frames, self.n_fft, self.hop):
-            out[:, start:stop] = feature_of(power)
+        x, half = self.signal.samples, self.n_fft // 2
+        window = _hann_window(self.n_fft)
+        rows = np.lib.stride_tricks.sliding_window_view(x, self.n_fft) if len(x) >= self.n_fft else None
+        chunks = list(_chunks(len(frames)))
+        workers = 2 if len(chunks) >= 2 and _worker_count() >= 2 else 1
+        # The calling thread makes every worker's power block: a block made on
+        # the helper thread would stay in that thread's malloc arena.
+        widest = max((stop - start for start, stop in chunks), default=0)
+        blocks = [np.empty((half + 1) * widest) for _ in range(workers)]
+        shared = iter(chunks)  # under the GIL, next() hands each chunk to one worker
+
+        def work(block):
+            for start, stop in shared:
+                power = block[:(half + 1) * (stop - start)].reshape(half + 1, stop - start)
+                _fill_power(x, rows, window, frames[start:stop] * self.hop - half, power)
+                out[:, start:stop] = feature_of(power)
+
+        if workers == 1:
+            work(blocks[0])
+            return out
+        from concurrent.futures import ThreadPoolExecutor  # imported here: `import barseg` stays lean
+
+        with ThreadPoolExecutor(1) as pool:
+            helper = pool.submit(work, blocks[1])
+            work(blocks[0])
+            helper.result()
         return out
 
 

@@ -35,11 +35,14 @@ def pca_compress(X, d_c):
     The reconstruction mu + W @ H is the best rank-d_c Frobenius
     approximation of X.
 
-    A component at the rounding floor (lam_j <= b * eps * lam_1, or every
-    component when lam_1 == 0) gets a zero W column and so a zero H row.
-    That is the result for rank-deficient input, such as silence or d_c
-    above the rank of C; identical bars keep only the rounding residue of
-    their mean, as one component.
+    A component at the rounding floor, lam_j <= b * eps * ||X||_F^2 with X
+    on the scale of C, gets a zero W column and so a zero H row. The floor
+    is relative to X, not to lam_1 alone: when all bars are identical, C
+    holds only the rounding residue of their mean, and its lam_1 would pass
+    a floor relative to itself. ||X||_F^2 = ||C||_F^2 + b ||mu||^2 bounds
+    lam_1 from above, so the floor also covers lam_1 == 0. That is the
+    result for rank-deficient input: silence and identical bars give an
+    all-zero H, and d_c above the rank of C gives zero trailing rows.
     """
     X = np.asarray(X, dtype=np.float64)
     n, b = X.shape
@@ -47,10 +50,13 @@ def pca_compress(X, d_c):
         raise ValueError(f"d_c={d_c} out of range for a {n}x{b} matrix")
     mu = X.mean(axis=1)
     centered = X - mu[:, None]
-    scaled = np.ldexp(centered, -np.frexp(np.abs(centered).max())[1])
-    lam, V = np.linalg.eigh(scaled.T @ scaled)
+    exponent = -np.frexp(np.abs(centered).max())[1]
+    scaled = np.ldexp(centered, exponent)
+    gram = scaled.T @ scaled
+    lam, V = np.linalg.eigh(gram)
     lam, V = lam[::-1][:d_c], V[:, ::-1][:, :d_c]
-    rank = np.count_nonzero(lam > b * np.finfo(np.float64).eps * lam[0])
+    size = np.trace(gram) + b * np.sum(np.ldexp(mu, exponent) ** 2)  # ||X||_F^2 on the scale of `scaled`
+    rank = np.count_nonzero(lam > b * np.finfo(np.float64).eps * size)
     W = np.zeros((n, d_c))
     W[:, :rank] = (scaled @ V[:, :rank]) / np.sqrt(lam[:rank])
     signs = np.sign(W[np.argmax(np.abs(W), axis=0), np.arange(d_c)])

@@ -193,7 +193,7 @@ def song(request):
 
 class TestBarwiseFromFeatureFrames:
     @pytest.mark.parametrize("kind", FEATURES)
-    def test_matches_dense_feature(self, song, kind):
+    def test_matches_dense_feature(self, one_blas_thread, song, kind):
         name, signal, grid = song
         lazy = bars.barwise_tf(FeatureFrames(signal, kind), grid)
         dense = bars.barwise_tf(spec_from(compute_feature(signal, kind), kind=kind), grid)

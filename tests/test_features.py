@@ -1,8 +1,8 @@
-import ctypes
 import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -38,7 +38,7 @@ def padded_stft_power_reference(samples, n_fft, hop):
 def power_at_reference(signal, frames, n_fft, hop):
     """The power STFT at the given frames as one full array.
 
-    A copy of the loop that `features._power_chunks` replaced: a gather of
+    A copy of the loop that the per-chunk STFT replaced: a gather of
     reflected indices per 256-frame chunk, stored into one
     (n_fft/2 + 1) x len(frames) array.
     """
@@ -63,45 +63,6 @@ def feature_at_reference(signal, kind, frames, n_fft, hop):
     """The feature at the given frames: the full power array, then the feature's arithmetic in one call."""
     power = power_at_reference(signal, frames, n_fft, hop)
     return features._feature_of_power(kind, n_fft, signal.sample_rate)[1](power)
-
-
-def _openblas_thread_setter():
-    """(get, set) for the thread count of NumPy's OpenBLAS, or None if it cannot be found."""
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line})
-    except OSError:
-        return None
-    for lib in libs:
-        dll = ctypes.CDLL(lib)
-        for suffix in ("64_", ""):
-            get = getattr(dll, f"scipy_openblas_get_num_threads{suffix}", None)
-            put = getattr(dll, f"scipy_openblas_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.restype = ctypes.c_int
-                put.argtypes = [ctypes.c_int]
-                return get, put
-    return None
-
-
-@pytest.fixture
-def one_blas_thread():
-    """Run the test with NumPy's OpenBLAS at one thread.
-
-    A threaded GEMM splits its columns among threads at points that depend
-    on its width, so one wide GEMM and several narrow ones round a few
-    columns differently. At one thread they agree.
-    """
-    setter = _openblas_thread_setter()
-    if setter is None:
-        pytest.skip("cannot set the OpenBLAS thread count")
-    get, put = setter
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
 
 
 def scipy_load_wav(path):
@@ -449,6 +410,69 @@ class TestFeatureFramesChunks:
         finally:
             tracemalloc.stop()
         assert peak < 1025 * n_frames * 8 / 2
+
+
+class TestFeatureFramesWorkers:
+    """`at()` gives the same bytes on one worker and on two, on any host."""
+
+    @pytest.mark.parametrize("blas", ["one_blas_thread", "default_blas_threads"])
+    @pytest.mark.parametrize("n_fft, hop", FFT_HOP_PAIRS)
+    @pytest.mark.parametrize("kind", features.FEATURE_KINDS)
+    def test_one_and_two_workers_agree(self, monkeypatch, request, blas, kind, n_fft, hop):
+        if blas == "one_blas_thread":
+            request.getfixturevalue(blas)
+        sig = features.AudioSignal(np.random.default_rng(11).uniform(-1, 1, 40000), 44100)
+        feature = features.FeatureFrames(sig, kind, n_fft=n_fft, hop=hop)
+        rng = np.random.default_rng(n_fft * hop)
+        # Five chunks, with frames reflected at both ends in the first and last.
+        frames = np.concatenate([[0, 1], rng.integers(0, feature.n_frames, 1530), [feature.n_frames - 1]])
+        results = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(features, "_worker_count", lambda: workers)
+            results[workers] = [feature.at(frames).tobytes() for _ in range(2)]
+        assert results[1][0] == results[1][1] == results[2][0] == results[2][1]
+
+    @pytest.mark.parametrize("failing", ["caller", "helper"])
+    def test_failing_chunk_leaves_no_thread_running(self, monkeypatch, failing):
+        feature_of_power = features._feature_of_power
+        caller = threading.current_thread()
+        helper_took_a_chunk = threading.Event()
+
+        def failing_feature_of_power(*args):
+            n_rows, feature_of = feature_of_power(*args)
+
+            def fails_on_one_thread(power):
+                on_caller = threading.current_thread() is caller
+                if on_caller:
+                    # Hold the caller's first chunk until the helper has one,
+                    # so both workers run on a slow host too.
+                    helper_took_a_chunk.wait(timeout=30)
+                else:
+                    helper_took_a_chunk.set()
+                if on_caller == (failing == "caller"):
+                    raise RuntimeError(f"chunk failed on the {failing}")
+                return feature_of(power)
+            return n_rows, fails_on_one_thread
+
+        monkeypatch.setattr(features, "_feature_of_power", failing_feature_of_power)
+        monkeypatch.setattr(features, "_worker_count", lambda: 2)
+        sig = features.AudioSignal(np.random.default_rng(12).uniform(-1, 1, 40000), 44100)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"chunk failed on the {failing}"):
+            features.FeatureFrames(sig, "nnlms").at(np.arange(1200))
+        assert helper_took_a_chunk.is_set()
+        assert threading.active_count() == before
+
+    def test_rfft_rows_do_not_depend_on_rows_per_call(self):
+        # `_fill_power` takes the rFFT of a chunk's frames a sub-block at a
+        # time, and is byte-equal to one call over the chunk only because of this.
+        n_fft = 2048
+        x = np.random.default_rng(13).uniform(-1, 1, 511 * 32 + n_fft)
+        framed = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::32][:511] * features._hann_window(n_fft)
+        whole = np.fft.rfft(framed, axis=1).tobytes()
+        for rows in (1, 7, features._SUB_BLOCK, 255):
+            parts = [np.fft.rfft(framed[lo:lo + rows], axis=1) for lo in range(0, 511, rows)]
+            assert np.concatenate(parts).tobytes() == whole, f"{rows} rows per call"
 
 
 class TestMel:

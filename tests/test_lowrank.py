@@ -142,6 +142,20 @@ class TestPCARankDeficient:
         ref = segment.cosine_autosimilarity(pca_svd_reference(X, 40).H)
         np.testing.assert_allclose(A, ref, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("b", [2, 3, 4, 5, 6, 7, 8, 16, 32, 120])
+    def test_identical_bars_are_one_segment(self, b):
+        # The centered matrix holds only the rounding residue of the mean,
+        # exactly zero for some b and not for others; every b gets the
+        # silent song's result.
+        X = np.tile(np.random.default_rng(33).random((7680, 1)), (1, b))
+        model = lowrank.pca_compress(X, min(4, b))
+        assert np.all(model.H == 0.0)
+        A = segment.cosine_autosimilarity(model.H)
+        assert not np.any(A)
+        with pytest.warns(UserWarning, match="degenerate autosimilarity"):
+            seg = segment.dp_segment(A)
+        assert list(seg.boundaries_bars) == [0, b]
+
     @pytest.mark.parametrize("scale", [1e150, 1e-150])
     def test_extreme_scale(self, scale):
         rng = np.random.default_rng(32)
