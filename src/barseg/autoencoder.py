@@ -258,33 +258,26 @@ class Dense(ParamLayer):
 
 
 class Flatten(Layer):
-    """(N,H,W,C) -> (N, C*H*W) in channels-first order.
+    """(N,H,W,C) -> (N, C*H*W) in channels-first order, for a C x H x W item.
 
     The dense layers index their weights by NCHW position, so both sides
     of the bottleneck cross it in that order.
     """
 
-    def forward(self, x, train=False):
-        if train:
-            self._in_shape = x.shape
-        return x.transpose(0, 3, 1, 2).reshape(x.shape[0], -1)
-
-    def backward(self, gy, grads):
-        n, h, w, c = self._in_shape
-        return gy.reshape(n, c, h, w).transpose(0, 2, 3, 1)
-
-
-class Unflatten(Layer):
-    """(N, C*H*W) in channels-first order -> (N,H,W,C); Flatten's inverse."""
-
     def __init__(self, c, h, w):
         self.chw = (c, h, w)
 
     def forward(self, x, train=False):
-        return x.reshape((x.shape[0],) + self.chw).transpose(0, 2, 3, 1)
+        return x.transpose(0, 3, 1, 2).reshape(x.shape[0], -1)
 
     def backward(self, gy, grads):
-        return gy.transpose(0, 3, 1, 2).reshape(gy.shape[0], -1)
+        return gy.reshape((gy.shape[0],) + self.chw).transpose(0, 2, 3, 1)
+
+
+class Unflatten(Flatten):
+    """(N, C*H*W) in channels-first order -> (N,H,W,C): Flatten run backwards."""
+
+    forward, backward = Flatten.backward, Flatten.forward
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +304,7 @@ class AENetwork:
         self.encoder = [
             Conv2D(1, 4, rng, "conv1"), ReLU(), MaxPool2x2(),
             Conv2D(4, 16, rng, "conv2"), ReLU(), MaxPool2x2(),
-            Flatten(), Dense(self.flat_size, d_c, rng, "fc_enc"),
+            Flatten(16, self.f_pad // 4, subdivision // 4), Dense(self.flat_size, d_c, rng, "fc_enc"),
         ]
         self.decoder = [
             Dense(d_c, self.flat_size, rng, "fc_dec"), ReLU(),
@@ -440,7 +433,10 @@ class TrainResult:
     embedding: np.ndarray  # d_c x b, best-loss parameters
     loss_trace: np.ndarray  # full-song loss per epoch
     best_loss: float
-    epochs_run: int
+
+    @property
+    def epochs_run(self):
+        return len(self.loss_trace)
 
 
 def _full_loss(net, bars, batch_size=32):
@@ -472,20 +468,18 @@ def train_single_song(bars, d_c, seed=42, max_epochs=1000, batch_size=8):
     best_loss = _full_loss(net, bars)
     trace = []
     lr = schedule.lr
-    epochs_run = 0
     for _ in range(max_epochs):
         order = rng.permutation(b)
         for start in range(0, b, batch_size):
             batch = bars[order[start : start + batch_size]]
             grads, batch_loss = net.backward_batch(batch)
             if not np.isfinite(batch_loss):
-                raise FloatingPointError(f"training diverged: non-finite loss at epoch {epochs_run}")
+                raise FloatingPointError(f"training diverged: non-finite loss at epoch {len(trace)}")
             optimizer.step(net.parameters(), grads, lr)
         epoch_loss = _full_loss(net, bars)
         if not np.isfinite(epoch_loss):
-            raise FloatingPointError(f"training diverged: non-finite loss at epoch {epochs_run}")
+            raise FloatingPointError(f"training diverged: non-finite loss at epoch {len(trace)}")
         trace.append(epoch_loss)
-        epochs_run += 1
         lr, stop, improved = schedule.step(epoch_loss)
         if improved and epoch_loss < best_loss:
             best_loss = epoch_loss
@@ -494,4 +488,4 @@ def train_single_song(bars, d_c, seed=42, max_epochs=1000, batch_size=8):
             break
     net.set_state(best_state)
     embedding = net.encode_batch(bars).T
-    return TrainResult(embedding, np.asarray(trace), best_loss, epochs_run)
+    return TrainResult(embedding, np.asarray(trace), best_loss)

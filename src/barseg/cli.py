@@ -68,7 +68,7 @@ def _build_pipeline_config(args, file_keys=None):
 def _add_common(parser, with_compressor=True):
     parser.add_argument("--out", dest="output_dir", metavar="OUT", default=None)
     parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--feature", default=None, choices=["chroma", "mel", "lms", "nnlms", "mfcc"])
+    parser.add_argument("--feature", default=None, choices=list(pipeline.FEATURES))
     if with_compressor:
         parser.add_argument("--subdivision", type=int, default=None, help="frames per bar (default 96)")
         parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 42)")

@@ -6,7 +6,7 @@ F-measure are reported per tolerance (0.5s strict, 3s lenient).
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,15 +44,10 @@ class ToleranceResult:
     matched_pairs: list
 
     def to_dict(self):
-        return {
-            "tol": self.tolerance,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_measure": self.f_measure,
-            "n_est": self.n_est,
-            "n_ref": self.n_ref,
-            "n_matched": self.n_matched,
-        }
+        """The fields but `matched_pairs`, in order, with `tolerance` as "tol"."""
+        out = asdict(self)
+        del out["matched_pairs"]
+        return {"tol": out.pop("tolerance"), **out}
 
 
 @dataclass

@@ -40,8 +40,6 @@ LOG_FLOOR = 1e-10
 N_MELS, MEL_FMIN, MEL_FMAX = 80, 80.0, 16000.0
 MFCC_BANDS, N_MFCC = 128, 32
 
-FEATURE_KINDS = ("stft_power", "chroma", "mel", "lms", "nnlms", "mfcc")
-
 
 @dataclass
 class AudioSignal:
@@ -68,19 +66,13 @@ def load_wav(path):
     """
     try:
         with open(path, "rb") as fh:
-            sr, raw = _read_wav(fh)
+            sr, raw, offset, scale = _read_wav(fh)
     except (OSError, ValueError) as exc:
         raise ValueError(f"{path}: cannot decode WAV file ({exc})") from exc
-    if raw.dtype == np.int16:
-        samples = raw.astype(np.float64) / 32768.0
-    elif raw.dtype == np.int32:
-        samples = raw.astype(np.float64) / 2147483648.0
-    elif raw.dtype == np.uint8:
-        samples = (raw.astype(np.float64) - 128.0) / 128.0
-    elif raw.dtype in (np.float32, np.float64):
-        samples = raw.astype(np.float64)
-    else:
-        raise ValueError(f"{path}: unsupported WAV sample format {raw.dtype}")
+    samples = raw.astype(np.float64)
+    if offset:  # only unsigned 8-bit samples have one; skipping 0 saves a pass
+        samples -= offset
+    samples /= scale
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
     return AudioSignal(samples=samples, sample_rate=int(sr))
@@ -98,14 +90,15 @@ def _read_exactly(fh, n):
 
 
 def _read_wav(fh):
-    """(sample rate, samples) of a RIFF, RIFX or RF64 WAVE file.
+    """(sample rate, samples, offset, scale) of a RIFF, RIFX or RF64 WAVE file.
 
     Chunks are read up to the first `data` chunk; chunks other than
     `fmt ` and `ds64` are skipped, with their pad byte. Samples keep
     their stored type in native byte order: uint8 (1-8 bits), int16,
     int32 (3-byte samples widened left-justified, so 24-bit x becomes
     x * 256), float32 or float64. Several channels give frames x
-    channels.
+    channels. (samples - offset) / scale maps the stored type onto
+    [-1, 1].
     """
     riff, _, form = struct.unpack("<4sI4s", _read_exactly(fh, 12))
     if riff not in (b"RIFF", b"RIFX", b"RF64") or form != b"WAVE":
@@ -134,11 +127,11 @@ def _read_wav(fh):
     tag, channels, rate, block_align, bits = fmt
     width = block_align // channels
     if tag == _PCM and 1 <= bits <= 8 and width == 1:
-        dtype = "u1"
+        dtype, offset, scale = "u1", 128.0, 128.0
     elif tag == _PCM and not 1 <= bits <= 8 and (width == 3 or width in (2, 4) and bits <= 64):
-        dtype = f"{order}i{width}"
+        dtype, offset, scale = f"{order}i{width}", 0.0, 32768.0 if width == 2 else 2147483648.0
     elif tag == _IEEE_FLOAT and bits in (32, 64) and width in (4, 8):
-        dtype = f"{order}f{width}"
+        dtype, offset, scale = f"{order}f{width}", 0.0, 1.0
     else:
         raise ValueError(f"unsupported sample format (format tag {tag}, {bits} bits in {width} bytes)")
     if size % (width * channels):
@@ -151,7 +144,7 @@ def _read_wav(fh):
         payload, dtype = wide, f"{order}i4"
     raw = np.frombuffer(payload, dtype)
     raw = raw.astype(raw.dtype.newbyteorder("="), copy=False)
-    return rate, raw.reshape(-1, channels) if channels > 1 else raw
+    return rate, raw.reshape(-1, channels) if channels > 1 else raw, offset, scale
 
 
 def _parse_fmt(body, order):
@@ -271,7 +264,9 @@ def _feature_of_power(kind, n_fft, sample_rate):
         return N_MELS, lambda power: _decibels(fb @ power)
     if kind == "nnlms":
         return N_MELS, lambda power: np.log1p(fb @ power)
-    return N_MELS, lambda power: fb @ power
+    if kind == "mel":
+        return N_MELS, lambda power: fb @ power
+    raise ValueError(f"unknown feature kind {kind!r}")
 
 
 class FeatureFrames:
@@ -290,8 +285,10 @@ class FeatureFrames:
         pad = n_fft // 2
         if len(signal.samples) <= pad:
             raise ValueError(f"signal too short for centered frames (need > {pad} samples)")
-        if kind not in FEATURE_KINDS:
-            raise ValueError(f"unknown feature kind {kind!r}")
+        # Raises on an unknown kind. What it builds is dropped: a caller may
+        # hold this object through later stages, so `at` builds its own
+        # filterbank (0.6-1 MB) and frees it on return.
+        _feature_of_power(kind, n_fft, signal.sample_rate)
         self.signal = signal
         self.feature_kind = kind
         self.n_fft = n_fft
@@ -397,7 +394,10 @@ def _fold_pitch_classes(power_values, classes):
 
 def mfcc_from_log_mel(log_mel_values, n_coeffs=N_MFCC):
     """Orthonormal DCT-II over the band axis, keeping the first n_coeffs."""
-    import scipy.fft  # imported here: no other feature needs SciPy
+    try:
+        import scipy.fft  # imported here: no other feature needs SciPy
+    except ImportError as exc:
+        raise ValueError("the mfcc feature needs SciPy; install it with pip install 'barseg[mfcc]'") from exc
 
     coeffs = scipy.fft.dct(np.asarray(log_mel_values, dtype=np.float64), type=2, norm="ortho", axis=0)
     return coeffs[:n_coeffs]

@@ -93,29 +93,12 @@ def nmf_compress(X, d_c, max_iters=500, tol=1e-8, seed=42, init_W=None, init_H=N
     trace = [float(np.sum(R0 * R0))]
     # W is held as d x n while iterating: each column update reads and writes one contiguous row.
     Wt = np.ascontiguousarray(W.T)
-    tmp = np.empty(n)
+    tmp_n, tmp_b = np.empty(n), np.empty(b)
     for _ in range(max_iters):
-        # Update columns of W (rows of Wt) against fixed H; HHt is symmetric,
-        # so its contiguous row j serves as column j.
-        HHt = H @ H.T
-        HXt = H @ X.T
-        for j in range(d_c):
-            denom = HHt[j, j]
-            if denom <= 0:
-                continue
-            np.dot(HHt[j], Wt, out=tmp)
-            np.subtract(HXt[j], tmp, out=tmp)
-            tmp /= denom
-            tmp += Wt[j]
-            np.maximum(tmp, 0.0, out=Wt[j])
-        # Update rows of H against fixed W.
+        _hals_rows(Wt, H @ H.T, H @ X.T, tmp_n)
         WtW = Wt @ Wt.T
         WtX = Wt @ X
-        for j in range(d_c):
-            denom = WtW[j, j]
-            if denom <= 0:
-                continue
-            H[j, :] = np.maximum(0.0, H[j, :] + (WtX[j, :] - WtW[j, :] @ H) / denom)
+        _hals_rows(H, WtW, WtX, tmp_b)
         # ||X - WH||_F^2 via the Gram identity; WtX and WtW use the final W,
         # so only the cheap d x d / d x b products involve the updated H.
         cur = norm_x_sq - 2.0 * float(np.vdot(WtX, H)) + float(np.vdot(WtW, H @ H.T))
@@ -126,3 +109,22 @@ def nmf_compress(X, d_c, max_iters=500, tol=1e-8, seed=42, init_W=None, init_H=N
         if cur <= 1e-16 * max(norm_x_sq, 1e-300):
             break
     return LowRankModel(kind="nmf", W=Wt.T, H=H, mu=np.zeros(n), loss_trace=np.array(trace))
+
+
+def _hals_rows(F, G, P, tmp):
+    """One HALS sweep over the rows of the d x m factor F, in place.
+
+    Row j becomes max(0, F[j] + (P[j] - G[j] @ F) / G[j, j]), its exact
+    nonnegative least-squares update with the other rows fixed. G is the
+    other factor's d x d Gram matrix, symmetric, so its contiguous row j
+    serves as column j; P is that factor's product with the data.
+    """
+    for j in range(len(F)):
+        denom = G[j, j]
+        if denom <= 0:
+            continue
+        np.dot(G[j], F, out=tmp)
+        np.subtract(P[j], tmp, out=tmp)
+        tmp /= denom
+        tmp += F[j]
+        np.maximum(tmp, 0.0, out=F[j])

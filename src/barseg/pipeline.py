@@ -17,7 +17,10 @@ import numpy as np
 
 from . import autoencoder, bars, evaluate, features, lowrank, matio, segment
 
+FEATURES = ("chroma", "mel", "lms", "nnlms", "mfcc")
 COMPRESSORS = ("pca", "nmf", "ae", "none")
+# The per-tolerance means of a batch, in aggregate.json and aggregate.csv.
+_MEAN_METRICS = ("precision", "recall", "f_measure")
 
 
 @dataclass
@@ -39,7 +42,7 @@ class PipelineConfig:
     ae_batch_size: int = 8
 
     def __post_init__(self):
-        if self.feature not in features.FEATURE_KINDS or self.feature == "stft_power":
+        if self.feature not in FEATURES:
             raise ValueError(f"unknown feature {self.feature!r}")
         if self.compressor not in COMPRESSORS:
             raise ValueError(f"unknown compressor {self.compressor!r}")
@@ -50,6 +53,8 @@ class PipelineConfig:
         for name in ("subdivision", "max_segment", "ae_max_epochs", "ae_batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.compressor == "ae" and self.subdivision % 4:
+            raise ValueError(f"subdivision must be divisible by 4, got {self.subdivision}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.tolerances or not all(0 < tol < np.inf for tol in self.tolerances):
@@ -72,16 +77,10 @@ class SongResult:
     eval_report: dict = field(default_factory=dict)
 
     def to_dict(self):
-        out = {
-            "song_id": self.song_id,
-            "config": self.config,
-            "boundaries_bars": self.boundaries_bars,
-            "boundaries_seconds": self.boundaries_seconds,
-            "total_score": self.total_score,
-            "timings": self.timings,
-        }
-        if self.eval_report:
-            out["eval"] = self.eval_report
+        out = asdict(self)
+        eval_report = out.pop("eval_report")
+        if eval_report:
+            out["eval"] = eval_report
         return out
 
 
@@ -216,21 +215,15 @@ def run_batch(dataset_dir, cfg):
             results.append(run_song(song_cfg, song_id=song))
         except Exception as exc:
             failures[song] = f"{exc}\n{traceback.format_exc(limit=2)}"
-    results.sort(key=lambda r: r.song_id)
 
     aggregate = {"n_songs": len(song_dirs), "n_ok": len(results), "n_failed": len(failures)}
-    evaluated = [r for r in results if r.eval_report]
     per_tol = {}
     for tol in cfg.tolerances:
         key = format(tol, "g")
-        rows = [r.eval_report[key] for r in evaluated if key in r.eval_report]
+        rows = [r.eval_report[key] for r in results if key in r.eval_report]
         if rows:
-            per_tol[key] = {
-                "precision": float(np.mean([r["precision"] for r in rows])),
-                "recall": float(np.mean([r["recall"] for r in rows])),
-                "f_measure": float(np.mean([r["f_measure"] for r in rows])),
-                "n_songs": len(rows),
-            }
+            per_tol[key] = {m: float(np.mean([row[m] for row in rows])) for m in _MEAN_METRICS}
+            per_tol[key]["n_songs"] = len(rows)
     aggregate["mean"] = per_tol
 
     if cfg.output_dir:
@@ -240,10 +233,8 @@ def run_batch(dataset_dir, cfg):
             "failures": {k: str(v).splitlines()[0] for k, v in failures.items()},
         })
         with open(os.path.join(cfg.output_dir, "aggregate.csv"), "w") as fh:
-            fh.write("tolerance,precision,recall,f_measure,n_songs\n")
+            fh.write(",".join(("tolerance",) + _MEAN_METRICS + ("n_songs",)) + "\n")
             for key, row in per_tol.items():
-                fh.write(
-                    f"{key},{format(row['precision'], '.17g')},{format(row['recall'], '.17g')},"
-                    f"{format(row['f_measure'], '.17g')},{row['n_songs']}\n"
-                )
+                means = [format(row[m], ".17g") for m in _MEAN_METRICS]
+                fh.write(",".join([key, *means, str(row["n_songs"])]) + "\n")
     return aggregate, results, failures

@@ -34,7 +34,8 @@ class Segmentation:
 
     def __post_init__(self):
         self.boundaries_bars = np.asarray(self.boundaries_bars, dtype=np.int64)
-        if self.boundaries_bars[0] != 0 or not np.all(np.diff(self.boundaries_bars) > 0):
+        b = self.boundaries_bars
+        if len(b) == 0 or b[0] != 0 or not np.all(np.diff(b) > 0):
             raise ValueError("boundaries must start at 0 and be strictly increasing")
 
     def segment_sizes(self):

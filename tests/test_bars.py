@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from barseg import bars, synthetic
+from barseg import bars, pipeline, synthetic
 from barseg.features import AudioSignal, FeatureFrames, compute_feature
 
 
@@ -166,9 +166,6 @@ class TestBarwiseTF:
         assert tf.values.shape == (4, 7 * 13)
 
 
-FEATURES = ["chroma", "mel", "lms", "nnlms", "mfcc"]
-
-
 def tempo_change_song():
     """16 bars of 0.5 s, then 16 bars of 0.8 s."""
     first, grid1, _ = synthetic.make_song("AAAAAAAABBBBBBBB", bar_seconds=0.5)
@@ -192,7 +189,7 @@ def song(request):
 
 
 class TestBarwiseFromFeatureFrames:
-    @pytest.mark.parametrize("kind", FEATURES)
+    @pytest.mark.parametrize("kind", pipeline.FEATURES)
     def test_matches_dense_feature(self, one_blas_thread, song, kind):
         name, signal, grid = song
         lazy = bars.barwise_tf(FeatureFrames(signal, kind), grid)

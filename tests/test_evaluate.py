@@ -80,6 +80,13 @@ class TestHitRate:
         with pytest.raises(ValueError, match="tolerance must be finite and positive"):
             evaluate.hit_rate(np.array([1.0]), np.array([1.0]), tol)
 
+    def test_to_dict_keys_in_field_order(self):
+        res = evaluate.hit_rate([1.0, 2.0], [1.1], 0.5)
+        assert list(res.to_dict().items()) == [
+            ("tol", 0.5), ("precision", 0.5), ("recall", 1.0), ("f_measure", 2 / 3),
+            ("n_est", 2), ("n_ref", 1), ("n_matched", 1),
+        ]
+
 
 def brute_force_matching(est, ref, tol):
     """Size of a maximum one-to-one matching, by trying every assignment."""

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from barseg import lowrank, segment
+from barseg import autoencoder, lowrank, segment
 
 
 def eckart_young_error(X, d_c):
@@ -166,6 +168,34 @@ class TestPCARankDeficient:
         err = np.linalg.norm(X - model.reconstruct())
         assert err == pytest.approx(eckart_young_error(X, 6), rel=1e-9)
         np.testing.assert_allclose(model.W.T @ model.W, np.eye(6), rtol=0, atol=1e-12)
+
+
+class TestIdenticalBarsWithoutPCA:
+    """Unlike PCA's all-zero H, the other compressors embed identical bars as
+    nonzero columns, so A is near all ones and the DP returns the prior's 8-bar grid."""
+
+    @pytest.mark.parametrize("b", [8, 16, 32])
+    @pytest.mark.parametrize("compressor", ["none", "nmf", "ae"])
+    def test_identical_bars_give_the_prior_grid(self, compressor, b):
+        bar = np.random.default_rng(33).random((80, 96))
+        patches = np.tile(bar, (b, 1, 1))
+        X = patches.reshape(b, -1).T
+        if compressor == "none":
+            Z = X
+        elif compressor == "nmf":
+            Z = lowrank.nmf_compress(X, 4).H
+        else:
+            Z = autoencoder.train_single_song(patches, 4, max_epochs=3).embedding
+        A = segment.cosine_autosimilarity(Z)
+        if compressor == "nmf":
+            # HALS from a random start leaves identical bars with different H columns.
+            assert np.abs(A - 1.0).max() > 0.1
+        else:
+            np.testing.assert_allclose(A, 1.0, rtol=0, atol=1e-15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seg = segment.dp_segment(A)
+        assert list(seg.boundaries_bars) == list(range(0, b + 1, 8))
 
 
 class TestPCAMatchesSVDReference:

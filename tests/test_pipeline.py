@@ -296,6 +296,35 @@ class TestRunBatch:
         assert csv_lines[0] == "tolerance,precision,recall,f_measure,n_songs"
         assert len(csv_lines) == 3
 
+    def test_aggregate_and_result_bytes(self, tmp_path):
+        # Pins the serialized aggregate files and the key order of every result dict.
+        root = tmp_path / "data"
+        synthetic.write_song_dir(root / "song_a", "AAAABBBBAAAACCCCCC", seed=7)
+        synthetic.write_song_dir(root / "song_b", "AAAAAABBBBBB", bar_seconds=0.75, seed=8)
+        cfg = make_config(root / "song_a", tmp_path / "out", d_c=4, tolerances=(3.0, 0.5))
+        _, results, failures = pipeline.run_batch(str(root), cfg)
+        assert not failures
+        assert [list(r.boundaries_bars) for r in results] == [[0, 4, 8, 12, 14, 18], [0, 4, 6, 10, 12]]
+        assert (tmp_path / "out" / "aggregate.csv").read_text().splitlines() == [
+            "tolerance,precision,recall,f_measure,n_songs",
+            "3,0.71666666666666667,1,0.82954545454545447,2",
+            "0.5,0.71666666666666667,1,0.82954545454545447,2",
+        ]
+        aggregate = json.loads((tmp_path / "out" / "aggregate.json").read_text())
+        assert list(aggregate) == ["n_songs", "n_ok", "n_failed", "mean", "failures"]
+        assert list(aggregate["mean"]) == ["3", "0.5"]
+        assert aggregate["mean"]["3"] == {"precision": 0.7166666666666667, "recall": 1.0,
+                                          "f_measure": 0.8295454545454545, "n_songs": 2}
+        keys = ["song_id", "config", "boundaries_bars", "boundaries_seconds", "total_score", "timings"]
+        loaded = json.loads((tmp_path / "out" / "song_b" / "song_b.result.json").read_text())
+        assert list(loaded) == keys + ["eval"]
+        assert list(loaded["eval"]) == ["0.5", "3"]
+        assert loaded["eval"]["0.5"] == {"tol": 0.5, "precision": 0.6, "recall": 1.0, "f_measure": 0.7499999999999999,
+                                         "n_est": 5, "n_ref": 3, "n_matched": 3}
+        song_cfg = make_config(root / "song_b", tmp_path / "bare", d_c=4, annotations_path="")
+        pipeline.run_song(song_cfg)
+        assert list(json.loads((tmp_path / "bare" / "audio.result.json").read_text())) == keys
+
     def test_per_song_failure_recorded(self, dataset, tmp_path):
         import shutil
 
@@ -407,6 +436,16 @@ class TestCli:
         assert done.stdout.splitlines()[-1] == "[]"
         assert (tmp_path / "audio.result.json").exists()
 
+    @pytest.mark.parametrize("command", ["features", "segment"])
+    def test_mfcc_without_scipy_exits_2(self, short_song_dir, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setitem(sys.modules, "scipy.fft", None)  # makes `import scipy.fft` raise ImportError
+        argv = [command, str(short_song_dir / "audio.wav"), "--feature", "mfcc", "--out", str(tmp_path)]
+        if command == "segment":
+            argv += ["--downbeats", str(short_song_dir / "downbeats.txt"), "--compressor", "none"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("barseg: error: ") and "barseg[mfcc]" in err
+
     def test_segment_dc_sweep(self, song_dir, tmp_path, capsys):
         rc = cli.main([
             "segment", str(song_dir / "audio.wav"),
@@ -480,6 +519,8 @@ class TestCli:
         (["--tolerances=0,3"], None, "tolerances must be finite and positive, got (0.0, 3.0)"),
         ([], "compressor = ae\nae_batch_size = 0\n", "ae_batch_size must be >= 1, got 0"),
         (["--compressor", "ae", "--ae-max-epochs=-2"], None, "ae_max_epochs must be >= 1, got -2"),
+        (["--compressor", "ae", "--subdivision", "90"], None, "subdivision must be divisible by 4, got 90"),
+        ([], "compressor = ae\nsubdivision = 90\n", "subdivision must be divisible by 4, got 90"),
     ])
     def test_bad_setting_exits_2_before_any_stage(self, song_dir, tmp_path, capsys, flags, config, message):
         if config is not None:

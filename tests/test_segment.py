@@ -310,3 +310,5 @@ class TestDpSegment:
             segment.Segmentation(np.array([1, 5]), 0.0)
         with pytest.raises(ValueError):
             segment.Segmentation(np.array([0, 5, 5]), 0.0)
+        with pytest.raises(ValueError, match="boundaries must start at 0"):
+            segment.Segmentation(np.array([]), 0.0)
