@@ -480,8 +480,8 @@ def train_single_song(bars, d_c, seed=42, max_epochs=1000, batch_size=8):
         if not np.isfinite(epoch_loss):
             raise FloatingPointError(f"training diverged: non-finite loss at epoch {len(trace)}")
         trace.append(epoch_loss)
-        lr, stop, improved = schedule.step(epoch_loss)
-        if improved and epoch_loss < best_loss:
+        lr, stop, _ = schedule.step(epoch_loss)
+        if epoch_loss < best_loss:
             best_loss = epoch_loss
             best_state = net.get_state()
         if stop:

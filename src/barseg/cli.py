@@ -74,8 +74,6 @@ def _add_common(parser, with_compressor=True):
         parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 42)")
         parser.add_argument("--compressor", default=None, choices=list(pipeline.COMPRESSORS))
         parser.add_argument("--dc", dest="d_c", metavar="DC", type=int, default=None, help="latent dimension")
-        parser.add_argument("--dc-sweep", dest="dc_sweep", default=None,
-                            help="comma-separated latent dimensions, one run per value")
         parser.add_argument("--max-segment", dest="max_segment", type=int, default=None)
         parser.add_argument("--tolerances", default=None, help='e.g. "0.5,3.0"')
         parser.add_argument("--ae-max-epochs", dest="ae_max_epochs", type=int, default=None)
@@ -157,6 +155,8 @@ def main(argv=None):
     p.add_argument("audio_path", metavar="audio")
     p.add_argument("--downbeats", dest="downbeats_path", metavar="DOWNBEATS", required=True)
     p.add_argument("--annotations", dest="annotations_path", metavar="ANNOTATIONS", default=None)
+    p.add_argument("--dc-sweep", dest="dc_sweep", default=None,
+                   help="comma-separated latent dimensions, one run per value")
     _add_common(p)
     p.set_defaults(func=cmd_segment)
 

@@ -324,15 +324,14 @@ class FeatureFrames:
                 _fill_power(x, rows, window, frames[start:stop] * self.hop - half, power)
                 out[:, start:stop] = feature_of(power)
 
-        if workers == 1:
-            work(blocks[0])
-            return out
         from concurrent.futures import ThreadPoolExecutor  # imported here: `import barseg` stays lean
 
+        # A pool given no work starts no thread, so one worker runs on the caller alone.
         with ThreadPoolExecutor(1) as pool:
-            helper = pool.submit(work, blocks[1])
+            helpers = [pool.submit(work, block) for block in blocks[1:]]
             work(blocks[0])
-            helper.result()
+            for helper in helpers:
+                helper.result()
         return out
 
 
@@ -393,14 +392,16 @@ def _fold_pitch_classes(power_values, classes):
 
 
 def mfcc_from_log_mel(log_mel_values, n_coeffs=N_MFCC):
-    """Orthonormal DCT-II over the band axis, keeping the first n_coeffs."""
-    try:
-        import scipy.fft  # imported here: no other feature needs SciPy
-    except ImportError as exc:
-        raise ValueError("the mfcc feature needs SciPy; install it with pip install 'barseg[mfcc]'") from exc
+    """Orthonormal DCT-II over the band axis, keeping the first n_coeffs.
 
-    coeffs = scipy.fft.dct(np.asarray(log_mel_values, dtype=np.float64), type=2, norm="ortho", axis=0)
-    return coeffs[:n_coeffs]
+    Row k of the n-band DCT is sqrt(2/n) cos(pi k (2i + 1) / 2n), with row 0
+    also divided by sqrt(2); k (2i + 1) is first reduced modulo 4n, the period.
+    """
+    n = len(log_mel_values)
+    k, i = np.ogrid[:min(n_coeffs, n), :n]
+    dct = np.sqrt(2.0 / n) * np.cos(np.pi / (2 * n) * (k * (2 * i + 1) % (4 * n)))
+    dct[:1] /= np.sqrt(2.0)  # a slice: n_coeffs=0 gives no rows
+    return dct @ log_mel_values
 
 
 def compute_feature(signal, kind, n_fft=DEFAULT_N_FFT, hop=DEFAULT_HOP):

@@ -194,9 +194,9 @@ def run_batch(dataset_dir, cfg):
     """
     if not os.path.isdir(dataset_dir):
         raise ValueError(f"dataset directory not found: {dataset_dir}")
-    song_dirs = sorted(
-        d for d in os.listdir(dataset_dir) if os.path.isdir(os.path.join(dataset_dir, d))
-    )
+    out = os.path.realpath(cfg.output_dir) if cfg.output_dir else None  # no song, even inside dataset_dir
+    paths = (os.path.join(dataset_dir, d) for d in os.listdir(dataset_dir))
+    song_dirs = sorted(os.path.basename(p) for p in paths if os.path.isdir(p) and os.path.realpath(p) != out)
     if not song_dirs:
         raise ValueError(f"no song directories in {dataset_dir}")
 

@@ -351,7 +351,7 @@ class TestStftPower:
     def test_import_leaves_scipy_signal_unloaded(self):
         # SciPy costs most of the package import time; the window is built
         # directly, the WAV reader uses struct and NumPy, and the MFCC DCT
-        # imports scipy.fft when called, so `import barseg` loads no SciPy.
+        # is a NumPy matrix product, so `import barseg` loads no SciPy.
         src = os.path.dirname(os.path.dirname(features.__file__))
         code = "import sys, barseg; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         env = {**os.environ, "PYTHONPATH": src}
@@ -591,6 +591,16 @@ class TestMfcc:
         coeffs = features.mfcc_from_log_mel(log_mel, n_coeffs=128)
         back = scipy.fft.idct(coeffs, type=2, norm="ortho", axis=0)
         assert np.allclose(back, log_mel, atol=1e-9)
+
+    @pytest.mark.parametrize("n_coeffs", [32, 128])
+    def test_matches_scipy_dct(self, n_coeffs):
+        import scipy.fft
+
+        log_mel = 20 * np.random.default_rng(n_coeffs).standard_normal((128, 256)) - 60
+        expected = scipy.fft.dct(log_mel, type=2, norm="ortho", axis=0)[:n_coeffs]
+        coeffs = features.mfcc_from_log_mel(log_mel, n_coeffs=n_coeffs)
+        assert coeffs.shape == (n_coeffs, 256)
+        assert np.max(np.abs(coeffs - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_identical_frames_identical_mfcc(self):
         # The signal repeats every 4,410 samples, 10 hops of 441. Frames 15

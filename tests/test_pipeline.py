@@ -422,29 +422,31 @@ class TestCli:
         assert (tmp_path / "audio.result.json").exists()
 
     def test_segment_loads_no_scipy(self, short_song_dir, tmp_path):
-        # Neither the import nor an nnlms/PCA call pays for SciPy: it serves only the MFCC DCT.
+        # Neither the import nor a call pays for SciPy, MFCC included: its DCT is one matrix product.
         song = short_song_dir
-        argv = ["segment", str(song / "audio.wav"), "--downbeats", str(song / "downbeats.txt"),
-                "--annotations", str(song / "annotations.txt"), "--feature", "nnlms",
-                "--compressor", "pca", "--out", str(tmp_path)]
         code = ("import sys, barseg.cli; rc = barseg.cli.main(sys.argv[1:]); "
                 "print(sorted(m for m in sys.modules if m.startswith('scipy'))); sys.exit(rc)")
         src = os.path.dirname(os.path.dirname(pipeline.__file__))
-        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src})
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
-        assert (tmp_path / "audio.result.json").exists()
+        for feature in ("nnlms", "mfcc"):
+            out = tmp_path / feature
+            argv = ["segment", str(song / "audio.wav"), "--downbeats", str(song / "downbeats.txt"),
+                    "--annotations", str(song / "annotations.txt"), "--feature", feature,
+                    "--compressor", "pca", "--out", str(out)]
+            done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": src})
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.splitlines()[-1] == "[]", feature
+            assert (out / "audio.result.json").exists()
 
+    @pytest.mark.parametrize("feature", pipeline.FEATURES)
     @pytest.mark.parametrize("command", ["features", "segment"])
-    def test_mfcc_without_scipy_exits_2(self, short_song_dir, tmp_path, capsys, monkeypatch, command):
-        monkeypatch.setitem(sys.modules, "scipy.fft", None)  # makes `import scipy.fft` raise ImportError
-        argv = [command, str(short_song_dir / "audio.wav"), "--feature", "mfcc", "--out", str(tmp_path)]
+    def test_every_feature_runs_without_scipy(self, short_song_dir, tmp_path, monkeypatch, command, feature):
+        for name in ["scipy", *(m for m in sys.modules if m.startswith("scipy."))]:
+            monkeypatch.setitem(sys.modules, name, None)  # makes `import scipy...` raise ImportError
+        argv = [command, str(short_song_dir / "audio.wav"), "--feature", feature, "--out", str(tmp_path)]
         if command == "segment":
             argv += ["--downbeats", str(short_song_dir / "downbeats.txt"), "--compressor", "none"]
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("barseg: error: ") and "barseg[mfcc]" in err
+        assert cli.main(argv) == 0
 
     def test_segment_dc_sweep(self, song_dir, tmp_path, capsys):
         rc = cli.main([
@@ -568,6 +570,24 @@ class TestCli:
         captured = capsys.readouterr()
         assert "FAILED bad" in captured.err
         assert '"n_failed": 1' in captured.out
+
+    def test_batch_takes_no_dc_sweep(self, dataset, tmp_path, capsys):
+        # Only `segment` sweeps d_c. A batch runs one d_c, so it refuses the flag instead of ignoring it.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["batch", str(dataset), "--dc-sweep", "2,4", "--out", str(tmp_path / "out")])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --dc-sweep 2,4" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_batch_output_inside_dataset_is_no_song(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        synthetic.write_song_dir(root / "song", "AAAABBBB")
+        argv = ["batch", str(root), "--compressor", "none", "--out", str(root / "results")]
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            aggregate = json.loads((root / "results" / "aggregate.json").read_text())
+            assert (aggregate["n_songs"], aggregate["n_failed"]) == (1, 0)
+        assert "FAILED" not in capsys.readouterr().err
 
     def test_bad_arguments_exit_2(self, tmp_path, capsys):
         rc = cli.main([
