@@ -11,26 +11,33 @@ Features come from `FeatureFrames`, which computes one at chosen frames
 only; or from `compute_feature`, at every frame. Both give plain f x T
 arrays.
 
+`load_wav` keeps the samples as the file stores them (u1, i2, i4, f4 or
+f8 in the file's byte order, frames x channels), with the offset and
+scale that map them onto [-1, 1]; no float64 copy of the song is made.
+
 `FeatureFrames.at` takes its frames in chunks of 256 or more, each from
 samples to feature before its worker takes the next. Two workers, the
 calling thread and one helper thread, draw chunks from one shared list
 and write disjoint column slices of the output; a process that may use
 only one CPU, or a call of one chunk, runs on the calling thread alone.
 The threads pay because each step is a NumPy call on thousands of
-values, which releases the GIL. Within a chunk, framing, window, rFFT
-and power go 16 frames at a time into that worker's power block, and
-the filterbank GEMM runs once over the whole block. So beyond the
-output, a call holds one power block per worker, of (n_fft/2 + 1) x
-256..511 values (2-4 MB at n_fft=2048), and one sub-block's temporaries
-per worker (about 1 MB). More workers or larger sub-blocks would raise
-the peak RSS of the rest of the process: what the helper thread
-allocates stays in its own malloc arena after the call. Every output
-byte is the same on one worker and on two.
+values, which releases the GIL. Within a chunk, the frames go 16 at a
+time: gather their stored samples, decode them as (stored - offset) /
+scale, average the channels, window, rFFT, and write the power into
+that worker's power block. The filterbank GEMM then runs once over the
+whole block. So beyond the stored samples and the output, a call holds
+one power block per worker, of (n_fft/2 + 1) x 256..511 values (2-4 MB
+at n_fft=2048), and one sub-block's temporaries per worker (about 1 MB
+for mono, plus 256 KB per channel for the float64 decode of the
+gathered samples). More workers or larger sub-blocks would raise the
+peak RSS of the rest of the process: what the helper thread allocates
+stays in its own malloc arena after the call. Every output byte is the
+same on one worker and on two, and the same as from the whole song
+decoded first.
 """
 
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,52 +48,102 @@ N_MELS, MEL_FMIN, MEL_FMAX = 80, 80.0, 16000.0
 MFCC_BANDS, N_MFCC = 128, 32
 
 
-@dataclass
 class AudioSignal:
-    """Mono audio samples in [-1, 1] with their sample rate."""
+    """Mono audio in [-1, 1] with its sample rate.
 
-    samples: np.ndarray
-    sample_rate: int
+    `AudioSignal(samples, sample_rate)` takes float samples. `load_wav`
+    gives one that keeps the file's stored samples (frames, or frames x
+    channels) with the offset and scale that map them onto [-1, 1].
+    `.samples` decodes the whole signal into float64 each time it is
+    read; `FeatureFrames` decodes only the samples its frames cover.
+    """
 
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        if self.samples.ndim != 1:
+    def __init__(self, samples, sample_rate):
+        samples = np.asarray(samples, dtype=np.float64)
+        if samples.ndim != 1:
             raise ValueError("AudioSignal expects a 1-D sample array")
-        if not np.all(np.isfinite(self.samples)):
+        if not np.all(np.isfinite(samples)):
             raise ValueError("audio contains non-finite samples")
+        self._set(samples, 0.0, 1.0, sample_rate)
+
+    @classmethod
+    def _of_stored(cls, stored, offset, scale, sample_rate):
+        """A signal over stored samples, which (stored - offset) / scale maps onto [-1, 1]."""
+        signal = cls.__new__(cls)
+        signal._set(stored, offset, scale, sample_rate)
+        return signal
+
+    def _set(self, stored, offset, scale, sample_rate):
+        if sample_rate <= 0:
+            raise ValueError(f"sample_rate must be positive, got {sample_rate}")
+        self._stored, self._offset, self._scale = stored, offset, scale
+        self.sample_rate = sample_rate
+
+    def __len__(self):
+        return len(self._stored)
+
+    @property
+    def samples(self):
+        """Float64 mono samples of the whole signal."""
+        return self._decode(self._stored)
+
+    def _decode(self, stored):
+        """Float64 mono samples of stored ones: (stored - offset) / scale, then the channel mean.
+
+        `stored` is any gather of the stored samples that keeps their last
+        axis, the channels of a multi-channel signal.
+        """
+        samples = stored.astype(np.float64, copy=False)  # a copy, unless stored is native float64
+        if self._offset:  # only unsigned 8-bit samples have one
+            samples -= self._offset
+        if self._scale != 1.0:
+            # Every scale is a power of two, so multiplying by its inverse gives
+            # the bits of `/= scale`, at about a third of the cost.
+            samples *= 1.0 / self._scale
+        return samples.mean(axis=-1) if self._stored.ndim == 2 else samples
+
+
+# Frames per block of the finiteness check of a float WAV.
+_CHECK_BLOCK = 1 << 16
 
 
 def load_wav(path):
     """Decode a PCM or IEEE-float WAV file into a mono AudioSignal.
 
     Integer samples are scaled to [-1, 1]; stereo channels are averaged.
-    Non-PCM codecs, truncated files and partial frames are rejected.
+    Non-PCM codecs, truncated files, partial frames and float samples that
+    decode to NaN or infinity are rejected. The signal keeps the samples
+    as stored; float ones are checked here a block at a time.
     """
     try:
         with open(path, "rb") as fh:
             sr, raw, offset, scale = _read_wav(fh)
     except (OSError, ValueError) as exc:
         raise ValueError(f"{path}: cannot decode WAV file ({exc})") from exc
-    samples = raw.astype(np.float64)
-    if offset:  # only unsigned 8-bit samples have one; skipping 0 saves a pass
-        samples -= offset
-    samples /= scale
-    if samples.ndim == 2:
-        samples = samples.mean(axis=1)
-    return AudioSignal(samples=samples, sample_rate=int(sr))
+    signal = AudioSignal._of_stored(raw, offset, scale, int(sr))
+    if raw.dtype.kind == "f":
+        for lo in range(0, len(raw), _CHECK_BLOCK):
+            if not np.all(np.isfinite(signal._decode(raw[lo:lo + _CHECK_BLOCK]))):
+                raise ValueError("audio contains non-finite samples")
+    return signal
 
 
 _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
 
 
 def _read_exactly(fh, n):
-    """The next n bytes of fh. A size past the file's end raises before any buffer is made."""
+    """The next n bytes of fh. A size past the file's end raises before any buffer is made.
+
+    The buffer is a writable bytearray: `.samples` of a mono float64 RIFF
+    file is a view of it, and must stay writable as a decoded copy is.
+    """
     short = n - (os.fstat(fh.fileno()).st_size - fh.tell())
     if short > 0:
         raise ValueError(f"file ends {short} bytes early")
-    return fh.read(n)
+    buf = bytearray(n)
+    if fh.readinto(buf) != n:
+        raise ValueError("file shrank while being read")
+    return buf
 
 
 def _read_wav(fh):
@@ -94,7 +151,7 @@ def _read_wav(fh):
 
     Chunks are read up to the first `data` chunk; chunks other than
     `fmt ` and `ds64` are skipped, with their pad byte. Samples keep
-    their stored type in native byte order: uint8 (1-8 bits), int16,
+    their stored type and the file's byte order: uint8 (1-8 bits), int16,
     int32 (3-byte samples widened left-justified, so 24-bit x becomes
     x * 256), float32 or float64. Several channels give frames x
     channels. (samples - offset) / scale maps the stored type onto
@@ -143,7 +200,6 @@ def _read_wav(fh):
         (wide[:, 1:] if order == "<" else wide[:, :3])[...] = triples
         payload, dtype = wide, f"{order}i4"
     raw = np.frombuffer(payload, dtype)
-    raw = raw.astype(raw.dtype.newbyteorder("="), copy=False)
     return rate, raw.reshape(-1, channels) if channels > 1 else raw, offset, scale
 
 
@@ -176,12 +232,13 @@ def _hann_window(n_fft):
 # of frames. A chunk's power block is (n_fft/2 + 1) x 256..511 values, 2-4 MB
 # at n_fft=2048; 256 frames ran 2.3x faster than 4096 on a 2-core x86-64 host.
 _CHUNK = 256
-# Frames per framing, window, rFFT and power step inside a chunk. np.fft.rfft
+# Frames per decoding, window, rFFT and power step inside a chunk. np.fft.rfft
 # gives each row the same bytes whatever the number of rows per call, so the
-# sub-blocks change no output byte. At n_fft=2048 their largest temporaries
-# are 256 KB. The helper thread's malloc arena keeps what they took: with
-# 64-frame sub-blocks, the 16 s acceptance song's AE call peaked at 94.6 MB
-# RSS, against 90.0 MB with 16 and 87.4 MB with no helper thread.
+# sub-blocks change no output byte. At n_fft=2048 their largest temporary is
+# the float64 decode of the gathered samples, 256 KB per channel. The helper
+# thread's malloc arena keeps what they took: with 64-frame sub-blocks, the
+# 16 s acceptance song's AE call peaked at 94.6 MB RSS, against 90.0 MB with
+# 16 and 87.4 MB with no helper thread.
 _SUB_BLOCK = 16
 
 
@@ -204,27 +261,38 @@ def _chunks(n):
     return zip(starts, starts[1:] + [n])
 
 
-def _fill_power(x, rows, window, first, power):
+def _fill_power(signal, rows, window, first, power):
     """Write the power STFT of the frames whose first samples are `first` into `power`.
 
-    `power` is (n_fft/2 + 1) x len(first); column k is the frame at
-    x[first[k]:first[k] + n_fft], reflected at both ends as
-    np.pad(mode="reflect") would give it. The frames go _SUB_BLOCK at a
-    time. A sub-block wholly inside the signal takes rows of `rows`, the
-    sliding-window view of x (None for a signal shorter than n_fft); one
-    that reaches past either end gathers reflected indices instead.
+    `power` is (n_fft/2 + 1) x len(first); column k is the frame of
+    `signal` at samples first[k]:first[k] + n_fft, reflected at both ends
+    as np.pad(mode="reflect") would give it. The frames go _SUB_BLOCK at
+    a time, each gathered from the stored samples and decoded on its own.
+    A sub-block wholly inside the signal takes rows of `rows`, the
+    sliding-window view of the stored samples (None for a signal shorter
+    than n_fft); one that reaches past either end gathers reflected
+    indices instead.
     """
-    n, n_fft = len(x), len(window)
+    n, n_fft = len(signal), len(window)
     for lo in range(0, len(first), _SUB_BLOCK):
         block = first[lo:lo + _SUB_BLOCK]
         if rows is not None and block.min() >= 0 and block.max() < len(rows):
-            framed = rows[block]
+            stored = rows[block]
         else:
             idx = np.abs(block[:, None] + np.arange(n_fft))
-            framed = x[np.where(idx >= n, 2 * (n - 1) - idx, idx)]
+            stored = signal._stored[np.where(idx >= n, 2 * (n - 1) - idx, idx)]
+        framed = signal._decode(stored)
         framed *= window
         spectrum = np.fft.rfft(framed, axis=1)
         power[:, lo:lo + len(block)] = (spectrum.real**2 + spectrum.imag**2).T
+
+
+def _frame_rows(stored, n_fft):
+    """Sliding-window view of stored samples: row i holds samples i:i + n_fft, channels last."""
+    if len(stored) < n_fft:
+        return None
+    rows = np.lib.stride_tricks.sliding_window_view(stored, n_fft, axis=0)
+    return rows if stored.ndim == 1 else np.moveaxis(rows, 2, 1)
 
 
 def _worker_count():
@@ -280,10 +348,10 @@ class FeatureFrames:
     def __init__(self, signal, kind, n_fft=DEFAULT_N_FFT, hop=DEFAULT_HOP):
         if not (n_fft >= hop >= 1):
             raise ValueError(f"need n_fft >= hop >= 1, got n_fft={n_fft}, hop={hop}")
-        if len(signal.samples) < 1:
+        if len(signal) < 1:
             raise ValueError("signal is empty")
         pad = n_fft // 2
-        if len(signal.samples) <= pad:
+        if len(signal) <= pad:
             raise ValueError(f"signal too short for centered frames (need > {pad} samples)")
         # Raises on an unknown kind. What it builds is dropped: a caller may
         # hold this object through later stages, so `at` builds its own
@@ -294,7 +362,7 @@ class FeatureFrames:
         self.n_fft = n_fft
         self.hop = hop
         self.sample_rate = signal.sample_rate
-        self.n_frames = 1 + len(signal.samples) // hop
+        self.n_frames = 1 + len(signal) // hop
 
     def at(self, frames):
         """f x len(frames) feature values at the given frame indices.
@@ -307,9 +375,9 @@ class FeatureFrames:
             raise IndexError(f"frame indices must lie in [0, {self.n_frames})")
         n_rows, feature_of = _feature_of_power(self.feature_kind, self.n_fft, self.sample_rate)
         out = np.empty((n_rows, len(frames)))
-        x, half = self.signal.samples, self.n_fft // 2
+        half = self.n_fft // 2
         window = _hann_window(self.n_fft)
-        rows = np.lib.stride_tricks.sliding_window_view(x, self.n_fft) if len(x) >= self.n_fft else None
+        rows = _frame_rows(self.signal._stored, self.n_fft)
         chunks = list(_chunks(len(frames)))
         workers = 2 if len(chunks) >= 2 and _worker_count() >= 2 else 1
         # The calling thread makes every worker's power block: a block made on
@@ -321,7 +389,7 @@ class FeatureFrames:
         def work(block):
             for start, stop in shared:
                 power = block[:(half + 1) * (stop - start)].reshape(half + 1, stop - start)
-                _fill_power(x, rows, window, frames[start:stop] * self.hop - half, power)
+                _fill_power(self.signal, rows, window, frames[start:stop] * self.hop - half, power)
                 out[:, start:stop] = feature_of(power)
 
         from concurrent.futures import ThreadPoolExecutor  # imported here: `import barseg` stays lean

@@ -21,6 +21,8 @@ FEATURES = ("chroma", "mel", "lms", "nnlms", "mfcc")
 COMPRESSORS = ("pca", "nmf", "ae", "none")
 # The per-tolerance means of a batch, in aggregate.json and aggregate.csv.
 _MEAN_METRICS = ("precision", "recall", "f_measure")
+# The artifacts run_song writes for a song, <song><suffix>.
+_ARTIFACTS = (".boundaries.txt", ".autosim.pgm", ".result.json")
 
 
 @dataclass
@@ -132,7 +134,7 @@ def run_song(cfg, song_id=None):
         signal = features.load_wav(cfg.audio_path)
         grid = bars.load_downbeats(cfg.downbeats_path)
         # Downbeats past the audio end would give bars with no frames.
-        n_frames = 1 + len(signal.samples) // cfg.hop
+        n_frames = 1 + len(signal) // cfg.hop
         grid, dropped = bars.drop_bars_past_end(grid, signal.sample_rate / cfg.hop, n_frames)
     if dropped:
         warnings.warn(f"song {song_id!r}: dropped {dropped} bars that start at or past the audio end",
@@ -174,10 +176,29 @@ def run_song(cfg, song_id=None):
         with _stage("output"):
             os.makedirs(cfg.output_dir, exist_ok=True)
             prefix = os.path.join(cfg.output_dir, song_id)
-            matio.write_json(prefix + ".result.json", result.to_dict())
-            write_boundary_file(prefix + ".boundaries.txt", seg.boundaries_seconds)
-            matio.write_pgm(prefix + ".autosim.pgm", A)
+            # The result JSON vouches for the other two, so an earlier run's
+            # goes before they change and this run's comes last.
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(prefix + ".result.json")
+            _write_in_place(prefix + ".boundaries.txt", write_boundary_file, seg.boundaries_seconds)
+            _write_in_place(prefix + ".autosim.pgm", matio.write_pgm, A)
+            _write_in_place(prefix + ".result.json", matio.write_json, result.to_dict())
     return result
+
+
+def _write_in_place(path, write, value):
+    """write(tmp, value) to a temporary name beside `path`, then move it onto `path`.
+
+    `path` holds either its old content or all of the new, never part of it.
+    """
+    tmp = path + ".tmp"
+    try:
+        write(tmp, value)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def write_boundary_file(path, boundary_seconds):
@@ -215,6 +236,12 @@ def run_batch(dataset_dir, cfg):
             results.append(run_song(song_cfg, song_id=song))
         except Exception as exc:
             failures[song] = f"{exc}\n{traceback.format_exc(limit=2)}"
+            if song_cfg.output_dir:
+                # An earlier run's artifacts would read as this run's. One that
+                # cannot be removed stays; aggregate.json still names the failure.
+                for suffix in _ARTIFACTS:
+                    with contextlib.suppress(OSError):
+                        os.remove(os.path.join(song_cfg.output_dir, song + suffix))
 
     aggregate = {"n_songs": len(song_dirs), "n_ok": len(results), "n_failed": len(failures)}
     per_tol = {}
@@ -228,13 +255,17 @@ def run_batch(dataset_dir, cfg):
 
     if cfg.output_dir:
         os.makedirs(cfg.output_dir, exist_ok=True)
-        matio.write_json(os.path.join(cfg.output_dir, "aggregate.json"), {
+        _write_in_place(os.path.join(cfg.output_dir, "aggregate.json"), matio.write_json, {
             **aggregate,
             "failures": {k: str(v).splitlines()[0] for k, v in failures.items()},
         })
-        with open(os.path.join(cfg.output_dir, "aggregate.csv"), "w") as fh:
-            fh.write(",".join(("tolerance",) + _MEAN_METRICS + ("n_songs",)) + "\n")
-            for key, row in per_tol.items():
-                means = [format(row[m], ".17g") for m in _MEAN_METRICS]
-                fh.write(",".join([key, *means, str(row["n_songs"])]) + "\n")
+        _write_in_place(os.path.join(cfg.output_dir, "aggregate.csv"), _write_aggregate_csv, per_tol)
     return aggregate, results, failures
+
+
+def _write_aggregate_csv(path, per_tol):
+    with open(path, "w") as fh:
+        fh.write(",".join(("tolerance",) + _MEAN_METRICS + ("n_songs",)) + "\n")
+        for key, row in per_tol.items():
+            means = [format(row[m], ".17g") for m in _MEAN_METRICS]
+            fh.write(",".join([key, *means, str(row["n_songs"])]) + "\n")

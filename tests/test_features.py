@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from barseg import features, pipeline
+from barseg import bars, features, pipeline
 
 # Every kind FeatureFrames computes: the power STFT and the features a run can ask for.
 KINDS = ("stft_power",) + pipeline.FEATURES
@@ -146,10 +146,11 @@ def wav_payload(name, channels, n_frames=301, order="<", seed=0):
     return rng.integers(info.min, info.max, n, endpoint=True).astype(order + kind).tobytes()
 
 
-def wav_bytes(name, channels, order="<", extensible=False, seed=0):
+def wav_bytes(name, channels, order="<", extensible=False, seed=0, n_frames=301):
     tag, bits, width, _ = WAV_FORMATS[name]
     fmt = fmt_chunk(tag, channels, bits, width, order=order, extensible=extensible)
-    return riff_file(fmt, chunk(b"data", wav_payload(name, channels, order=order, seed=seed), order), order=order)
+    payload = wav_payload(name, channels, n_frames=n_frames, order=order, seed=seed)
+    return riff_file(fmt, chunk(b"data", payload, order), order=order)
 
 
 def decode_bytes(tmp_path, data, reader=None):
@@ -234,6 +235,50 @@ class TestLoadWavMatchesScipy:
             decode_bytes(tmp_path, data)
         with pytest.raises(ValueError):
             decode_bytes(tmp_path, data, scipy_load_wav)
+
+
+class TestDecodePerSubBlock:
+    """`load_wav` keeps the stored samples; features decode them a sub-block at a time."""
+
+    @pytest.mark.parametrize("order", ["<", ">"])
+    @pytest.mark.parametrize("channels", [1, 2, 6])
+    @pytest.mark.parametrize("name", list(WAV_FORMATS))
+    def test_features_match_the_decoded_song(self, one_blas_thread, tmp_path, name, channels, order):
+        stored_path, riff_path = tmp_path / "stored.wav", tmp_path / "riff.wav"
+        stored_path.write_bytes(wav_bytes(name, channels, order=order, n_frames=6000))
+        # SciPy decodes no wide RIFX sample, so the reference reads the RIFF file of the same samples.
+        riff_path.write_bytes(wav_bytes(name, channels, n_frames=6000))
+        stored = features.load_wav(stored_path)
+        reference = scipy_load_wav(riff_path)
+        decoded = features.AudioSignal(reference.samples, reference.sample_rate)
+        assert stored.samples.flags.writeable
+        for kind in KINDS:
+            feature = features.FeatureFrames(stored, kind)
+            last = feature.n_frames - 1
+            # Two chunks; frames below 32 and above 155 reach past an end and are reflected.
+            inner = np.random.default_rng(channels).integers(0, feature.n_frames, 600)
+            frames = np.concatenate([[0, 1, last, 2], inner, [last - 1, last, 0]])
+            expected = features.FeatureFrames(decoded, kind).at(frames)
+            assert feature.at(frames).tobytes() == expected.tobytes(), kind
+
+    def test_peak_memory_is_the_file_and_a_few_mib(self, tmp_path):
+        # A 60 s 16-bit stereo song of 30 two-second bars. Decoding the whole
+        # song to float64, with its channel mean and a finiteness mask, took
+        # the peak to 7x the file. What remains beyond the file is two
+        # workers' power blocks (5 MiB), the 80 x 2880 output and its
+        # bar-major copy (3.5 MiB), and each worker's sub-block temporaries.
+        path = tmp_path / "long.wav"
+        rng = np.random.default_rng(14)
+        scipy.io.wavfile.write(path, 44100, rng.integers(-20000, 20000, (60 * 44100, 2)).astype(np.int16))
+        grid = bars.BarGrid(np.arange(31) * 2.0)
+        tracemalloc.start()
+        try:
+            tf = bars.barwise_tf(features.FeatureFrames(features.load_wav(path), "nnlms"), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tf.n_bars == 30
+        assert peak < os.path.getsize(path) + 12 * 2**20
 
 
 class TestLoadWav:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from barseg import cli, matio, pipeline, synthetic
+from barseg import cli, features, matio, pipeline, synthetic
 
 STRUCTURE = synthetic.DEFAULT_STRUCTURE
 EXPECTED_SECONDS = [0.0, 2.0, 4.0, 6.0, 8.0, 12.0, 16.0]
@@ -142,6 +142,19 @@ class TestRunSong:
             pipeline.run_song(cfg)
         assert excinfo.value.stage == "load"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_float_audio_fails_in_load_stage(self, short_song_dir, tmp_path, dtype, bad):
+        # 4 s of stereo, the bad sample in the second channel past the first block the check reads.
+        data = np.zeros((4 * 44100, 2), dtype=dtype)
+        data[features._CHECK_BLOCK + 5, 1] = bad
+        path = tmp_path / "bad.wav"
+        scipy.io.wavfile.write(path, 44100, data)
+        cfg = make_config(short_song_dir, tmp_path / "out", audio_path=str(path))
+        with pytest.raises(pipeline.StageError, match="audio contains non-finite samples") as excinfo:
+            pipeline.run_song(cfg)
+        assert excinfo.value.stage == "load"
+
     @pytest.mark.parametrize("stage", ["features", "barwise_tf", "evaluation", "output"])
     def test_failure_names_its_stage(self, short_song_dir, tmp_path, stage):
         overrides = {"output_dir": str(tmp_path / "out")}
@@ -167,6 +180,24 @@ class TestRunSong:
             pipeline.run_song(cfg)
         assert excinfo.value.stage == stage
         assert f"stage {stage!r} failed" in str(excinfo.value)
+
+    def test_failed_pgm_write_leaves_no_result_json(self, short_song_dir, tmp_path, monkeypatch):
+        cfg = make_config(short_song_dir, tmp_path, compressor="none")
+        pipeline.run_song(cfg)
+        assert (tmp_path / "audio.result.json").exists()
+
+        def disk_full(path, matrix):
+            with open(path, "wb") as fh:
+                fh.write(b"P5\n")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(matio, "write_pgm", disk_full)
+        with pytest.raises(pipeline.StageError, match="no space left") as excinfo:
+            pipeline.run_song(cfg)
+        assert excinfo.value.stage == "output"
+        # The earlier run's record is gone, and no file is left half written.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["audio.autosim.pgm", "audio.boundaries.txt"]
+        assert matio.read_pgm(tmp_path / "audio.autosim.pgm").shape == (8, 8)
 
     def test_timings_keys_without_annotations(self, short_song_dir, tmp_path):
         cfg = make_config(short_song_dir, tmp_path, compressor="none", annotations_path="")
@@ -337,6 +368,25 @@ class TestRunBatch:
         assert aggregate["n_ok"] == 2 and aggregate["n_failed"] == 1
         assert set(failures) == {"song_b"}
         assert len(results) == 2
+
+    def test_rerun_removes_the_artifacts_of_a_song_that_now_fails(self, dataset, tmp_path):
+        import shutil
+
+        data, out = tmp_path / "data", tmp_path / "out"
+        shutil.copytree(dataset, data)
+        cfg = make_config(data / "song_a", out, d_c=4)
+        pipeline.run_batch(str(data), cfg)
+        (out / "song_b" / "notes.txt").write_text("kept")
+        kept = {song: sorted((out / song).iterdir()) for song in ("song_a", "song_c")}
+        wav = data / "song_b" / "audio.wav"
+        wav.write_bytes(wav.read_bytes()[:-1000])
+        aggregate, _, failures = pipeline.run_batch(str(data), cfg)
+        assert aggregate["n_failed"] == 1 and set(failures) == {"song_b"}
+        assert json.loads((out / "aggregate.json").read_text())["n_failed"] == 1
+        assert sorted(p.name for p in (out / "song_b").iterdir()) == ["notes.txt"]
+        assert {song: sorted((out / song).iterdir()) for song in kept} == kept
+        assert sorted(p.name for p in out.iterdir()) == [
+            "aggregate.csv", "aggregate.json", "song_a", "song_b", "song_c"]
 
     def test_empty_dataset_rejected(self, tmp_path):
         cfg = pipeline.PipelineConfig()
