@@ -3,27 +3,46 @@
 The network is small enough that forward passes, analytic backprop, and
 Adam are written directly on numpy arrays (float64 throughout). It is two
 layer lists, run in order and in reverse for backprop: the encoder is
-conv(1->4), ReLU, pool, conv(4->16), ReLU, pool, flatten and a linear
+conv(1->4), pool, ReLU, conv(4->16), pool, ReLU, flatten and a linear
 latent layer of size d_c; the decoder is a dense layer, ReLU, an unflatten
 to 16 channels and two stride-2 transposed convolutions, each with a ReLU.
-Training uses one fixed recipe: Adam (beta1 0.9, beta2 0.999, eps 1e-8)
-and a plateau schedule that starts at lr 1e-3, divides it by 10 after 20
-epochs without improvement (floored at 1e-5) and stops after 100. These
-constants live in `AdamOptimizer` and `PlateauSchedule`; the latent size,
-seed, epoch cap and batch size are the arguments of `train_single_song`.
-The embedding is read out with the best-loss parameters.
+Each pool comes before its ReLU, which then runs on a quarter of the
+values: the max commutes with ReLU, and where the max is <= 0 ReLU zeroes
+the gradient, so the pool's tie rule never shows. Training uses one fixed
+recipe: Adam (beta1 0.9, beta2 0.999, eps 1e-8) and a plateau schedule
+that starts at lr 1e-3, divides it by 10 after 20 epochs without
+improvement (floored at 1e-5) and stops after 100. These constants live
+in `AdamOptimizer` and `PlateauSchedule`; the latent size, seed, epoch cap
+and batch size are the arguments of `train_single_song`. The embedding is
+read out with the best-loss parameters.
 
 Activations are channels-last (N,H,W,C) from the input to the flatten and
 from the unflatten to the output. The two dense layers index their weights
 by the channels-first (NCHW) position, so the flatten and the unflatten
 cross the bottleneck in that order. Only `backward_batch` runs the layers
 in training mode, which keeps what backward reads until backward has read
-it; the epoch-end loss pass and the final encoding keep nothing.
+it; the epoch-end loss pass and the final encoding keep nothing. Outside
+training mode a `Conv2D` unfolds 8 items at a time into one output, so
+neither holds the im2col matrix of a whole batch. The dense layers keep
+the full batch: their GEMMs round differently at other batch sizes.
+
+The epoch-end loss pass feeds only the plateau schedule, the early stop
+and the best-state copy. When no value of epoch e's loss could change the
+LR or stop training, `train_single_song` hands that pass to one helper
+thread, on a second network holding a copy of epoch e's parameters, and
+trains epoch e + 1 meanwhile; the copy becomes the best state if the loss
+improves. Otherwise the pass runs before epoch e + 1. So nothing is rolled
+back or redone, and the losses, parameters and errors are the serial
+loop's. As in `FeatureFrames.at`, a process without two CPUs per BLAS
+thread (`workers.worker_count`) starts no thread, the helper's exception
+propagates, and no thread outlives the call.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import workers
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +174,27 @@ class ParamLayer(Layer):
         return {self.name + ".W": self.W, self.name + ".b": self.b}
 
 
+# Items per im2col block of an inference conv. At 80 x 96 bars one block's
+# im2col matrix of conv1 or conv2 is 4.4 MB, against 17.7 MB for 32 bars.
+_INFER_BLOCK = 8
+
+
 class Conv2D(ParamLayer):
     def __init__(self, c_in, c_out, rng, name):
         super().__init__(name, rng, (c_out, c_in, 3, 3), c_in * 9, c_out)
 
     def forward(self, x, train=False):
-        out, col = conv2d(x, self.W)
         if train:
-            self._in_hw, self._col = x.shape[1:3], col
+            out, self._col = conv2d(x, self.W)
+            self._in_hw = x.shape[1:3]
+        else:
+            # Inference keeps no im2col matrix, so it unfolds _INFER_BLOCK items
+            # at a time into one output. A GEMM row gives the same bytes at any
+            # block size, and `workers.spans` merges a short tail block into the
+            # one before.
+            out = np.empty(x.shape[:3] + (len(self.W),))
+            for start, stop in workers.spans(len(x), _INFER_BLOCK):
+                out[start:stop] = conv2d(x[start:stop], self.W)[0]
         return _add_bias(out, self.b)
 
     def param_grads(self, gy, grads):
@@ -302,8 +334,8 @@ class AENetwork:
             raise ValueError(f"d_c={d_c} is not a compression of the {self.flat_size}-dim bottleneck input")
         rng = np.random.default_rng(seed)
         self.encoder = [
-            Conv2D(1, 4, rng, "conv1"), ReLU(), MaxPool2x2(),
-            Conv2D(4, 16, rng, "conv2"), ReLU(), MaxPool2x2(),
+            Conv2D(1, 4, rng, "conv1"), MaxPool2x2(), ReLU(),
+            Conv2D(4, 16, rng, "conv2"), MaxPool2x2(), ReLU(),
             Flatten(16, self.f_pad // 4, subdivision // 4), Dense(self.flat_size, d_c, rng, "fc_enc"),
         ]
         self.decoder = [
@@ -404,10 +436,10 @@ class PlateauSchedule:
     `early_stop_patience` consecutive non-improving epochs training stops.
     """
 
-    factor, patience, lr_min, early_stop_patience = 0.1, 20, 1e-5, 100
+    lr0, factor, patience, lr_min, early_stop_patience = 1e-3, 0.1, 20, 1e-5, 100
 
     def __init__(self):
-        self.lr = 0.001
+        self.lr = self.lr0
         self.best_loss = np.inf
         self.plateau_count = 0
         self.stall_count = 0
@@ -426,6 +458,13 @@ class PlateauSchedule:
                 self.lr = max(self.lr * self.factor, self.lr_min)
                 self.plateau_count = 0
         return self.lr, self.stall_count >= self.early_stop_patience, improved
+
+    def may_act(self):
+        """Whether some loss fed to the next `step` would change the LR or stop.
+
+        Only a loss that does not improve moves the counters toward either.
+        """
+        return self.plateau_count + 1 >= self.patience or self.stall_count + 1 >= self.early_stop_patience
 
 
 @dataclass
@@ -454,6 +493,12 @@ def train_single_song(bars, d_c, seed=42, max_epochs=1000, batch_size=8):
     `bars` is a sequence of b matrices of shape f x s. The result holds the
     d_c x b embedding Z encoded by the best-loss parameters; max_epochs=0
     gives the encoding of the initial network.
+
+    Epoch e's loss pass runs on a helper thread while epoch e + 1 trains,
+    whenever no value of that loss could change the LR or stop training
+    (see `PlateauSchedule.may_act`); otherwise it runs before epoch e + 1
+    starts. Either way every loss, LR and parameter byte is that of the
+    serial loop, and so is the error a non-finite loss raises.
     """
     bars = np.asarray(bars, dtype=np.float64)
     if bars.ndim != 3 or bars.shape[0] < 1:
@@ -463,29 +508,47 @@ def train_single_song(bars, d_c, seed=42, max_epochs=1000, batch_size=8):
     rng = np.random.default_rng(seed)
     optimizer = AdamOptimizer(net.parameters())
     schedule = PlateauSchedule()
+    # The network the helper's loss passes run on, holding a copy of the parameters.
+    helper_net = AENetwork(f, s, d_c) if workers.worker_count() >= 2 else None
 
-    best_state = net.get_state()
-    best_loss = _full_loss(net, bars)
+    best_state, best_loss = net.get_state(), _full_loss(net, bars)
     trace = []
-    lr = schedule.lr
-    for _ in range(max_epochs):
-        order = rng.permutation(b)
-        for start in range(0, b, batch_size):
-            batch = bars[order[start : start + batch_size]]
-            grads, batch_loss = net.backward_batch(batch)
-            if not np.isfinite(batch_loss):
-                raise FloatingPointError(f"training diverged: non-finite loss at epoch {len(trace)}")
-            optimizer.step(net.parameters(), grads, lr)
-        epoch_loss = _full_loss(net, bars)
-        if not np.isfinite(epoch_loss):
+
+    def book(loss, holder):
+        """Take the loss of epoch len(trace), whose parameters `holder` holds; True means stop."""
+        nonlocal best_state, best_loss
+        if not np.isfinite(loss):
             raise FloatingPointError(f"training diverged: non-finite loss at epoch {len(trace)}")
-        trace.append(epoch_loss)
-        lr, stop, _ = schedule.step(epoch_loss)
-        if epoch_loss < best_loss:
-            best_loss = epoch_loss
-            best_state = net.get_state()
-        if stop:
-            break
+        trace.append(loss)
+        _, stop, _ = schedule.step(loss)
+        if loss < best_loss:
+            best_loss, best_state = loss, holder.get_state()
+        return stop
+
+    from concurrent.futures import ThreadPoolExecutor  # imported here: `import barseg` stays lean
+
+    # A pool given no work starts no thread, and leaving the block waits for its thread.
+    with ThreadPoolExecutor(1) as pool:
+        pending = None  # the loss pass of the epoch before, running on the helper
+        for epoch in range(max_epochs):
+            order = rng.permutation(b)
+            try:
+                for start in range(0, b, batch_size):
+                    grads, batch_loss = net.backward_batch(bars[order[start : start + batch_size]])
+                    if not np.isfinite(batch_loss):
+                        raise FloatingPointError(f"training diverged: non-finite loss at epoch {epoch}")
+                    optimizer.step(net.parameters(), grads, schedule.lr)
+            finally:
+                # The epoch before is booked first, so its error wins, as it would serially.
+                if pending is not None:
+                    book(pending.result(), helper_net)
+            if helper_net is not None and epoch + 1 < max_epochs and not schedule.may_act():
+                helper_net.set_state(net.parameters())
+                pending = pool.submit(_full_loss, helper_net, bars)
+            else:
+                pending = None
+                if book(_full_loss(net, bars), net):
+                    break
     net.set_state(best_state)
     embedding = net.encode_batch(bars).T
     return TrainResult(embedding, np.asarray(trace), best_loss)

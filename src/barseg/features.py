@@ -18,8 +18,9 @@ scale that map them onto [-1, 1]; no float64 copy of the song is made.
 `FeatureFrames.at` takes its frames in chunks of 256 or more, each from
 samples to feature before its worker takes the next. Two workers, the
 calling thread and one helper thread, draw chunks from one shared list
-and write disjoint column slices of the output; a process that may use
-only one CPU, or a call of one chunk, runs on the calling thread alone.
+and write disjoint column slices of the output. A call of one chunk, or
+a process without two CPUs per BLAS thread (`workers.worker_count`),
+runs on the calling thread alone.
 The threads pay because each step is a NumPy call on thousands of
 values, which releases the GIL. Within a chunk, the frames go 16 at a
 time: gather their stored samples, decode them as (stored - offset) /
@@ -40,6 +41,8 @@ import os
 import struct
 
 import numpy as np
+
+from . import workers
 
 DEFAULT_N_FFT = 2048
 DEFAULT_HOP = 32
@@ -227,9 +230,10 @@ def _hann_window(n_fft):
     return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n_fft + 1)[:-1])
 
 
-# Frames per chunk. Each chunk goes from samples to its feature before its
-# worker takes the next, so only the f x frames output grows with the number
-# of frames. A chunk's power block is (n_fft/2 + 1) x 256..511 values, 2-4 MB
+# Frames per chunk; `workers.spans` merges a short tail chunk into the one
+# before it. Each chunk goes from samples to its feature before its worker
+# takes the next, so only the f x frames output grows with the number of
+# frames. A chunk's power block is (n_fft/2 + 1) x 256..511 values, 2-4 MB
 # at n_fft=2048; 256 frames ran 2.3x faster than 4096 on a 2-core x86-64 host.
 _CHUNK = 256
 # Frames per decoding, window, rFFT and power step inside a chunk. np.fft.rfft
@@ -240,25 +244,6 @@ _CHUNK = 256
 # 16 s acceptance song's AE call peaked at 94.6 MB RSS, against 90.0 MB with
 # 16 and 87.4 MB with no helper thread.
 _SUB_BLOCK = 16
-
-
-def _chunks(n):
-    """(start, stop) of each chunk of n frames.
-
-    Chunks start at multiples of _CHUNK and span at least _CHUNK frames:
-    the last partial chunk joins the one before it, and fewer than _CHUNK
-    frames make one chunk. A GEMM over a few columns can take another
-    OpenBLAS kernel, which rounds differently, so a short tail chunk would
-    change the last columns of `fb @ power`. With the tail merged, the
-    chunks' GEMMs give the bytes of one GEMM over all frames at one BLAS
-    thread. With more threads OpenBLAS splits a GEMM's columns at points
-    set by its width, so the last bits then vary, as they vary between
-    thread counts.
-    """
-    starts = list(range(0, n, _CHUNK))
-    if len(starts) > 1 and n - starts[-1] < _CHUNK:
-        del starts[-1]
-    return zip(starts, starts[1:] + [n])
 
 
 def _fill_power(signal, rows, window, first, power):
@@ -293,19 +278,6 @@ def _frame_rows(stored, n_fft):
         return None
     rows = np.lib.stride_tricks.sliding_window_view(stored, n_fft, axis=0)
     return rows if stored.ndim == 1 else np.moveaxis(rows, 2, 1)
-
-
-def _worker_count():
-    """Threads `FeatureFrames.at` runs on: two if the process may use two CPUs, else one.
-
-    A third thread would keep a third malloc arena after the call, which
-    adds to the process's peak RSS (see the module docstring).
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity outside Linux
-        cpus = os.cpu_count() or 1
-    return 2 if cpus >= 2 else 1
 
 
 def _feature_of_power(kind, n_fft, sample_rate):
@@ -378,12 +350,12 @@ class FeatureFrames:
         half = self.n_fft // 2
         window = _hann_window(self.n_fft)
         rows = _frame_rows(self.signal._stored, self.n_fft)
-        chunks = list(_chunks(len(frames)))
-        workers = 2 if len(chunks) >= 2 and _worker_count() >= 2 else 1
+        chunks = list(workers.spans(len(frames), _CHUNK))
+        n_workers = 2 if len(chunks) >= 2 and workers.worker_count() >= 2 else 1
         # The calling thread makes every worker's power block: a block made on
         # the helper thread would stay in that thread's malloc arena.
         widest = max((stop - start for start, stop in chunks), default=0)
-        blocks = [np.empty((half + 1) * widest) for _ in range(workers)]
+        blocks = [np.empty((half + 1) * widest) for _ in range(n_workers)]
         shared = iter(chunks)  # under the GIL, next() hands each chunk to one worker
 
         def work(block):

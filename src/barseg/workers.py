@@ -1,0 +1,61 @@
+"""How a call splits its work: into spans of items, run on one thread or two.
+
+`FeatureFrames.at` and `train_single_song` both read `worker_count`, so
+one rule decides whether either starts a helper thread.
+"""
+
+import os
+
+
+def spans(n, size):
+    """(start, stop) of each span of n items.
+
+    Spans start at multiples of `size` and hold at least `size` items:
+    the last partial span joins the one before it, and fewer than `size`
+    items make one span. A GEMM over a few rows or columns can take
+    another OpenBLAS kernel, which rounds differently, so a short tail
+    span could change the last rows of a product taken span by span.
+    With the tail merged, the spans' GEMMs give the bytes of one GEMM
+    over all items at one BLAS thread. With more threads OpenBLAS splits
+    a GEMM at points set by its size, so the last bits then vary, as
+    they vary between thread counts.
+    """
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] < size:
+        del starts[-1]
+    return zip(starts, starts[1:] + [n])
+
+
+def worker_count():
+    """Threads a call may run on: two if the process may use two CPUs per BLAS thread, else one.
+
+    Both workers run GEMMs, and a BLAS that may already use every CPU
+    leaves no core for a helper thread: on a 2-CPU host at the default of
+    two OpenBLAS threads, a helper made `FeatureFrames.at` 5-10% slower
+    and AE training about 12% slower, where at one BLAS thread it made
+    them 45% and 25% faster. A helper thread also keeps its own malloc
+    arena after the call, which adds to the process's peak RSS, so no
+    call starts a second helper.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        cpus = os.cpu_count() or 1
+    return 2 if cpus >= 2 * _blas_threads(cpus) else 1
+
+
+def _blas_threads(cpus):
+    """Threads NumPy's OpenBLAS runs a GEMM on, as OpenBLAS reads them when loaded.
+
+    That is the first positive count of OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS and OMP_NUM_THREADS, at most `cpus`; with none set,
+    one thread per CPU.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            count = int(os.environ.get(name, "").split(",")[0])
+        except ValueError:
+            continue
+        if count > 0:
+            return min(count, cpus)
+    return cpus

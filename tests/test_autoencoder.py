@@ -1,8 +1,12 @@
+import itertools
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from barseg import autoencoder as ae
-from barseg import bars, features, synthetic
+from barseg import bars, features, synthetic, workers
 
 
 class TestInitNetwork:
@@ -544,3 +548,119 @@ class TestMatchesNCHWReference:
         assert_same_bytes(result.embedding, embedding, "embedding")
         assert result.best_loss == best_loss
         assert result.epochs_run == epochs_run == 30
+
+
+class TestBlockwiseInferenceConv:
+    @pytest.mark.parametrize("n_bins,subdivision,d_c", [(80, 96, 8), (12, 16, 3), (10, 8, 2)])
+    def test_forward_batch_of_33_byte_equal(self, n_bins, subdivision, d_c):
+        # 33 items run the inference convs in blocks of 8, 8, 8 and a merged 9.
+        net = ae.AENetwork(n_bins, subdivision, d_c, seed=15)
+        x = np.random.default_rng(16).random((33, n_bins, subdivision))
+        z, x_hat = net.forward_batch(x)
+        ref_z, ref_x_hat = NCHWNetwork(net).forward_batch(x)
+        assert_same_bytes(z, ref_z, "z")
+        assert_same_bytes(x_hat, ref_x_hat, "x_hat")
+
+    def test_loss_pass_peak_memory(self):
+        # One 32-bar im2col matrix of conv1 is 17.7 MB; the pass peaked at
+        # 26.3 MiB with it, and at 15.5 MiB with blocks of 8 bars.
+        net = ae.AENetwork(80, 96, 8, seed=17)
+        bars = np.random.default_rng(18).random((32, 80, 96))
+        tracemalloc.start()
+        try:
+            ae._full_loss(net, bars)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+
+def pin_workers(monkeypatch, count):
+    monkeypatch.setattr(workers, "worker_count", lambda: count)
+
+
+def assert_same_result(result, expected):
+    embedding, trace, best_loss, epochs_run = expected
+    assert_same_bytes(result.loss_trace, trace, "loss_trace")
+    assert_same_bytes(result.embedding, embedding, "embedding")
+    assert result.best_loss == best_loss
+    assert result.epochs_run == epochs_run
+
+
+class TestOverlappedLossPass:
+    """The loss pass beside the next epoch changes no byte and no error of the serial loop."""
+
+    settings = dict(d_c=2, max_epochs=40, batch_size=4)
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        bars = np.random.default_rng(19).random((10, 8, 8))
+        expected = nchw_train_single_song(bars, seed=20, **self.settings)
+        pin_workers(monkeypatch, 2)
+        assert_same_result(ae.train_single_song(bars, seed=20, **self.settings), expected)
+        pin_workers(monkeypatch, 1)
+
+        def no_thread(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert_same_result(ae.train_single_song(bars, seed=20, **self.settings), expected)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lr_drops_and_early_stop_match_the_serial_loop(self, monkeypatch, seed):
+        # A start LR of 0.1 makes the loss stall, so with these patiences the
+        # loop switches between overlapped epochs and the serial ones before
+        # each LR drop and the early stop.
+        monkeypatch.setattr(ae.PlateauSchedule, "lr0", 0.1)
+        monkeypatch.setattr(ae.PlateauSchedule, "patience", 2)
+        monkeypatch.setattr(ae.PlateauSchedule, "early_stop_patience", 5)
+        pin_workers(monkeypatch, 2)
+        bars = np.random.default_rng(seed).random((6, 8, 8))
+        result = ae.train_single_song(bars, seed=seed, **self.settings)
+        assert_same_result(result, nchw_train_single_song(bars, seed=seed, **self.settings))
+        schedule, lrs = ae.PlateauSchedule(), []
+        for loss in result.loss_trace:
+            lr, stop, _ = schedule.step(loss)
+            lrs.append(lr)
+        assert len(set(lrs)) >= 3, lrs
+        assert stop and result.epochs_run < self.settings["max_epochs"]
+
+    @pytest.mark.parametrize("bad_pass, bad_batch", [(3, None), (None, 4), (3, 4), (4, 4)])
+    @pytest.mark.parametrize("bad", [np.nan, RuntimeError])
+    def test_divergence_raises_the_serial_error(self, monkeypatch, bad, bad_pass, bad_batch):
+        # The loss pass after epoch `bad_pass` and the first minibatch of
+        # epoch `bad_batch` give `bad`: a non-finite loss, or an exception.
+        bars = np.random.default_rng(21).random((6, 8, 8))  # two minibatches per epoch
+        bad_call = None if bad_batch is None else 2 * bad_batch
+        full_loss, backward_batch = ae._full_loss, ae.AENetwork.backward_batch
+
+        def run(count):
+            pin_workers(monkeypatch, count)
+            passes, batches = itertools.count(-1), itertools.count()  # pass -1 is the initial loss
+
+            def failing_full_loss(net, bars):
+                if next(passes) == bad_pass:
+                    if bad is RuntimeError:
+                        raise RuntimeError(f"loss pass {bad_pass} failed")
+                    return bad
+                return full_loss(net, bars)
+
+            def failing_backward_batch(net, x):
+                grads, loss = backward_batch(net, x)
+                if next(batches) == bad_call:
+                    if bad is RuntimeError:
+                        raise RuntimeError(f"minibatch of epoch {bad_batch} failed")
+                    return grads, bad
+                return grads, loss
+
+            monkeypatch.setattr(ae, "_full_loss", failing_full_loss)
+            monkeypatch.setattr(ae.AENetwork, "backward_batch", failing_backward_batch)
+            before = threading.active_count()
+            with pytest.raises((FloatingPointError, RuntimeError)) as raised:
+                ae.train_single_song(bars, seed=22, **self.settings)
+            assert threading.active_count() == before
+            return type(raised.value), str(raised.value)
+
+        serial = run(1)
+        assert run(2) == serial
+        first = min(e for e in (bad_pass, bad_batch) if e is not None)
+        assert str(first) in serial[1]

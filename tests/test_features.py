@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from barseg import bars, features, pipeline
+from barseg import bars, features, pipeline, workers
 
 # Every kind FeatureFrames computes: the power STFT and the features a run can ask for.
 KINDS = ("stft_power",) + pipeline.FEATURES
@@ -475,9 +475,9 @@ class TestFeatureFramesWorkers:
         # Five chunks, with frames reflected at both ends in the first and last.
         frames = np.concatenate([[0, 1], rng.integers(0, feature.n_frames, 1530), [feature.n_frames - 1]])
         results = {}
-        for workers in (1, 2):
-            monkeypatch.setattr(features, "_worker_count", lambda: workers)
-            results[workers] = [feature.at(frames).tobytes() for _ in range(2)]
+        for count in (1, 2):
+            monkeypatch.setattr(workers, "worker_count", lambda: count)
+            results[count] = [feature.at(frames).tobytes() for _ in range(2)]
         assert results[1][0] == results[1][1] == results[2][0] == results[2][1]
 
     @pytest.mark.parametrize("failing", ["caller", "helper"])
@@ -503,7 +503,7 @@ class TestFeatureFramesWorkers:
             return n_rows, fails_on_one_thread
 
         monkeypatch.setattr(features, "_feature_of_power", failing_feature_of_power)
-        monkeypatch.setattr(features, "_worker_count", lambda: 2)
+        monkeypatch.setattr(workers, "worker_count", lambda: 2)
         sig = features.AudioSignal(np.random.default_rng(12).uniform(-1, 1, 40000), 44100)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"chunk failed on the {failing}"):
