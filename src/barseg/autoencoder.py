@@ -27,15 +27,16 @@ neither holds the im2col matrix of a whole batch. The dense layers keep
 the full batch: their GEMMs round differently at other batch sizes.
 
 The epoch-end loss pass feeds only the plateau schedule, the early stop
-and the best-state copy. When no value of epoch e's loss could change the
-LR or stop training, `train_single_song` hands that pass to one helper
-thread, on a second network holding a copy of epoch e's parameters, and
-trains epoch e + 1 meanwhile; the copy becomes the best state if the loss
-improves. Otherwise the pass runs before epoch e + 1. So nothing is rolled
-back or redone, and the losses, parameters and errors are the serial
-loop's. As in `FeatureFrames.at`, a process without two CPUs per BLAS
-thread (`workers.worker_count`) starts no thread, the helper's exception
-propagates, and no thread outlives the call.
+and the best-state copy. Each runs on a second network, the snapshot,
+filled with epoch e's parameters, which become the best state if the
+loss improves. When no value of that loss could change the LR or stop
+training, `train_single_song` hands the pass to one helper thread and
+trains epoch e + 1 meanwhile; otherwise the pass runs before epoch
+e + 1. So nothing is rolled back or redone, and the losses, parameters
+and errors are the serial loop's. As in `FeatureFrames.at`, a process
+without two CPUs per BLAS thread (`workers.worker_count`) starts no
+thread, the helper's exception propagates, and no thread outlives the
+call.
 """
 
 from dataclasses import dataclass
@@ -508,21 +509,22 @@ def train_single_song(bars, d_c, seed=42, max_epochs=1000, batch_size=8):
     rng = np.random.default_rng(seed)
     optimizer = AdamOptimizer(net.parameters())
     schedule = PlateauSchedule()
-    # The network the helper's loss passes run on, holding a copy of the parameters.
-    helper_net = AENetwork(f, s, d_c) if workers.worker_count() >= 2 else None
+    # Every loss pass runs on this copy of the parameters, on either thread.
+    snapshot = AENetwork(f, s, d_c)
+    overlap = workers.worker_count() >= 2
 
     best_state, best_loss = net.get_state(), _full_loss(net, bars)
     trace = []
 
-    def book(loss, holder):
-        """Take the loss of epoch len(trace), whose parameters `holder` holds; True means stop."""
+    def book(loss):
+        """Take the loss of epoch len(trace), whose parameters `snapshot` holds; True means stop."""
         nonlocal best_state, best_loss
         if not np.isfinite(loss):
             raise FloatingPointError(f"training diverged: non-finite loss at epoch {len(trace)}")
         trace.append(loss)
         _, stop, _ = schedule.step(loss)
         if loss < best_loss:
-            best_loss, best_state = loss, holder.get_state()
+            best_loss, best_state = loss, snapshot.get_state()
         return stop
 
     from concurrent.futures import ThreadPoolExecutor  # imported here: `import barseg` stays lean
@@ -541,13 +543,13 @@ def train_single_song(bars, d_c, seed=42, max_epochs=1000, batch_size=8):
             finally:
                 # The epoch before is booked first, so its error wins, as it would serially.
                 if pending is not None:
-                    book(pending.result(), helper_net)
-            if helper_net is not None and epoch + 1 < max_epochs and not schedule.may_act():
-                helper_net.set_state(net.parameters())
-                pending = pool.submit(_full_loss, helper_net, bars)
+                    book(pending.result())
+            snapshot.set_state(net.parameters())
+            if overlap and epoch + 1 < max_epochs and not schedule.may_act():
+                pending = pool.submit(_full_loss, snapshot, bars)
             else:
                 pending = None
-                if book(_full_loss(net, bars), net):
+                if book(_full_loss(snapshot, bars)):
                     break
     net.set_state(best_state)
     embedding = net.encode_batch(bars).T

@@ -88,8 +88,8 @@ def cmd_features(args):
     stem = os.path.splitext(os.path.basename(cfg.audio_path))[0]
     csv_path = os.path.join(out_dir, f"{stem}.{cfg.feature}.csv")
     bseg_path = os.path.join(out_dir, f"{stem}.{cfg.feature}.bseg")
-    matio.write_csv_matrix(csv_path, values)
-    matio.write_bseg(bseg_path, values)
+    matio.write_in_place(csv_path, matio.write_csv_matrix, values)
+    matio.write_in_place(bseg_path, matio.write_bseg, values)
     print(f"{cfg.feature}: {values.shape[0]} bins x {values.shape[1]} frames -> {csv_path}, {bseg_path}")
     return 0
 
@@ -103,17 +103,17 @@ def _print_result(result):
 
 
 def cmd_segment(args):
-    sweep = [None]
+    base = _build_pipeline_config(args)
+    configs = [base]
     if args.dc_sweep:
         sweep = _convert("command line", "dc_sweep", lambda v: [int(t) for t in v.split(",")], args.dc_sweep)
-    for d_c in sweep:
-        if d_c is not None:
-            args.d_c = d_c
-        cfg = _build_pipeline_config(args)
-        if d_c is not None and cfg.output_dir:
-            cfg = dataclasses.replace(cfg, output_dir=os.path.join(cfg.output_dir, f"dc{d_c}"))
-        result = pipeline.run_song(cfg)
-        _print_result(result)
+        # Each config checks its d_c here, before the first run writes anything.
+        configs = [
+            dataclasses.replace(base, d_c=d_c, output_dir=base.output_dir and os.path.join(base.output_dir, f"dc{d_c}"))
+            for d_c in sweep
+        ]
+    for cfg in configs:
+        _print_result(pipeline.run_song(cfg))
     return 0
 
 
@@ -121,13 +121,11 @@ def cmd_eval(args):
     est = evaluate.load_annotations(args.estimated)
     ref = evaluate.load_annotations(args.reference)
     tolerances = _build_pipeline_config(args).tolerances
-    report = evaluate.evaluate_boundaries(est, ref, tolerances)
-    text = matio.dumps_json(report.to_dict())
+    report = evaluate.evaluate_boundaries(est, ref, tolerances).to_dict()
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "eval.json"), "w") as fh:
-            fh.write(text)
-    print(text, end="")
+        matio.write_in_place(os.path.join(args.out, "eval.json"), matio.write_json, report)
+    print(matio.dumps_json(report), end="")
     return 0
 
 

@@ -15,7 +15,7 @@ DEFAULT_TOLERANCES = (0.5, 3.0)
 
 @dataclass
 class BoundarySet:
-    """Strictly increasing boundary times in seconds."""
+    """Finite, strictly increasing boundary times in seconds."""
 
     times: np.ndarray
 
@@ -23,6 +23,8 @@ class BoundarySet:
         self.times = np.asarray(self.times, dtype=np.float64)
         if self.times.ndim != 1:
             raise ValueError("BoundarySet expects a 1-D array of times")
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError("boundary times must be finite")
         if len(self.times) and self.times[0] < 0:
             raise ValueError("boundary times must be nonnegative")
         if not np.all(np.diff(self.times) > 0):
@@ -107,23 +109,13 @@ def align_to_downbeats(annot, grid):
 
     Duplicate snapped times are collapsed.
     """
-    downbeats = grid.downbeats
-    snapped = []
-    for t in annot.times:
-        idx = np.searchsorted(downbeats, t)
-        candidates = []
-        if idx > 0:
-            candidates.append(downbeats[idx - 1])
-        if idx < len(downbeats):
-            candidates.append(downbeats[idx])
-        # Earlier candidate first, so a strict '<' keeps it on a tie.
-        nearest = candidates[0]
-        for c in candidates[1:]:
-            if abs(c - t) < abs(nearest - t):
-                nearest = c
-        snapped.append(nearest)
-    unique = np.unique(np.asarray(snapped))
-    return BoundarySet(unique)
+    t, downbeats = annot.times, grid.downbeats
+    # A time outside the grid gets its end pair, whose nearer downbeat is that end.
+    idx = np.clip(np.searchsorted(downbeats, t), 1, len(downbeats) - 1)
+    earlier, later = downbeats[idx - 1], downbeats[idx]
+    # On a tie the strict '<' keeps the earlier downbeat.
+    snapped = np.where(np.abs(later - t) < np.abs(earlier - t), later, earlier)
+    return BoundarySet(np.unique(snapped))
 
 
 def load_annotations(path, dedup_tol=1e-6):

@@ -14,6 +14,9 @@ arrays.
 `load_wav` keeps the samples as the file stores them (u1, i2, i4, f4 or
 f8 in the file's byte order, frames x channels), with the offset and
 scale that map them onto [-1, 1]; no float64 copy of the song is made.
+It rejects a fmt chunk whose block align is not channels x bytes per
+sample, or whose bits do not fit those bytes. Every `AudioSignal` checks
+its float samples for NaN and infinity, 65,536 frames at a time.
 
 `FeatureFrames.at` takes its frames in chunks of 256 or more, each from
 samples to feature before its worker takes the next. Two workers, the
@@ -49,6 +52,8 @@ DEFAULT_HOP = 32
 LOG_FLOOR = 1e-10
 N_MELS, MEL_FMIN, MEL_FMAX = 80, 80.0, 16000.0
 MFCC_BANDS, N_MFCC = 128, 32
+# Frames per block of the finiteness check of float samples.
+_CHECK_BLOCK = 1 << 16
 
 
 class AudioSignal:
@@ -65,8 +70,6 @@ class AudioSignal:
         samples = np.asarray(samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ValueError("AudioSignal expects a 1-D sample array")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("audio contains non-finite samples")
         self._set(samples, 0.0, 1.0, sample_rate)
 
     @classmethod
@@ -81,6 +84,10 @@ class AudioSignal:
             raise ValueError(f"sample_rate must be positive, got {sample_rate}")
         self._stored, self._offset, self._scale = stored, offset, scale
         self.sample_rate = sample_rate
+        if stored.dtype.kind == "f":
+            for lo in range(0, len(stored), _CHECK_BLOCK):
+                if not np.all(np.isfinite(self._decode(stored[lo:lo + _CHECK_BLOCK]))):
+                    raise ValueError("audio contains non-finite samples")
 
     def __len__(self):
         return len(self._stored)
@@ -106,29 +113,20 @@ class AudioSignal:
         return samples.mean(axis=-1) if self._stored.ndim == 2 else samples
 
 
-# Frames per block of the finiteness check of a float WAV.
-_CHECK_BLOCK = 1 << 16
-
-
 def load_wav(path):
     """Decode a PCM or IEEE-float WAV file into a mono AudioSignal.
 
     Integer samples are scaled to [-1, 1]; stereo channels are averaged.
-    Non-PCM codecs, truncated files, partial frames and float samples that
-    decode to NaN or infinity are rejected. The signal keeps the samples
-    as stored; float ones are checked here a block at a time.
+    Non-PCM codecs, fmt chunks whose sizes disagree, truncated files,
+    partial frames and float samples that decode to NaN or infinity are
+    rejected. The signal keeps the samples as stored.
     """
     try:
         with open(path, "rb") as fh:
             sr, raw, offset, scale = _read_wav(fh)
     except (OSError, ValueError) as exc:
         raise ValueError(f"{path}: cannot decode WAV file ({exc})") from exc
-    signal = AudioSignal._of_stored(raw, offset, scale, int(sr))
-    if raw.dtype.kind == "f":
-        for lo in range(0, len(raw), _CHECK_BLOCK):
-            if not np.all(np.isfinite(signal._decode(raw[lo:lo + _CHECK_BLOCK]))):
-                raise ValueError("audio contains non-finite samples")
-    return signal
+    return AudioSignal._of_stored(raw, offset, scale, int(sr))
 
 
 _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
@@ -186,16 +184,18 @@ def _read_wav(fh):
         size = rf64_data_size  # the data chunk's own size field is a placeholder
     tag, channels, rate, block_align, bits = fmt
     width = block_align // channels
-    if tag == _PCM and 1 <= bits <= 8 and width == 1:
+    if block_align != channels * width or not 1 <= bits <= 8 * width:
+        raise ValueError(f"fmt chunk sizes disagree ({channels} channels of {bits} bits in {block_align} bytes)")
+    if tag == _PCM and width == 1:
         dtype, offset, scale = "u1", 128.0, 128.0
-    elif tag == _PCM and not 1 <= bits <= 8 and (width == 3 or width in (2, 4) and bits <= 64):
+    elif tag == _PCM and bits > 8 and width in (2, 3, 4):
         dtype, offset, scale = f"{order}i{width}", 0.0, 32768.0 if width == 2 else 2147483648.0
-    elif tag == _IEEE_FLOAT and bits in (32, 64) and width in (4, 8):
+    elif tag == _IEEE_FLOAT and bits == 8 * width and width in (4, 8):
         dtype, offset, scale = f"{order}f{width}", 0.0, 1.0
     else:
         raise ValueError(f"unsupported sample format (format tag {tag}, {bits} bits in {width} bytes)")
-    if size % (width * channels):
-        raise ValueError(f"data chunk of {size} bytes holds a partial {width * channels}-byte frame")
+    if size % block_align:
+        raise ValueError(f"data chunk of {size} bytes holds a partial {block_align}-byte frame")
     payload = _read_exactly(fh, size)
     if width == 3:
         triples = np.frombuffer(payload, np.uint8).reshape(-1, 3)

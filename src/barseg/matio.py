@@ -1,16 +1,34 @@
-"""Small serialization helpers: BSEG binary matrices, CSV, PGM images, JSON.
+"""Serialization helpers (BSEG matrices, CSV, PGM, JSON, text) and `write_in_place`.
 
 The BSEG format is a minimal binary matrix container: the magic bytes
 ``BSEG``, two little-endian u32 giving rows and cols, then row-major
 little-endian float64 data.
 """
 
+import contextlib
 import json
+import os
 import struct
 
 import numpy as np
 
 BSEG_MAGIC = b"BSEG"
+
+
+def write_in_place(path, write, value):
+    """write(tmp, value) to a temporary name beside `path`, then move it onto `path`.
+
+    `path` holds either its old content or all of the new, never part of it.
+    The pipeline and the CLI write every output file through here.
+    """
+    tmp = path + ".tmp"
+    try:
+        write(tmp, value)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def write_bseg(path, matrix):
@@ -94,6 +112,10 @@ def dumps_json(obj):
 
 def write_json(path, obj):
     """Write `obj` as JSON; a value that cannot be serialized writes no file."""
-    text = dumps_json(obj)
+    write_text(path, dumps_json(obj))
+
+
+def write_text(path, text):
+    """Write a str to `path`."""
     with open(path, "w") as fh:
         fh.write(text)

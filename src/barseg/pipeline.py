@@ -180,31 +180,15 @@ def run_song(cfg, song_id=None):
             # goes before they change and this run's comes last.
             with contextlib.suppress(FileNotFoundError):
                 os.remove(prefix + ".result.json")
-            _write_in_place(prefix + ".boundaries.txt", write_boundary_file, seg.boundaries_seconds)
-            _write_in_place(prefix + ".autosim.pgm", matio.write_pgm, A)
-            _write_in_place(prefix + ".result.json", matio.write_json, result.to_dict())
+            matio.write_in_place(prefix + ".boundaries.txt", matio.write_text, _boundary_text(seg.boundaries_seconds))
+            matio.write_in_place(prefix + ".autosim.pgm", matio.write_pgm, A)
+            matio.write_in_place(prefix + ".result.json", matio.write_json, result.to_dict())
     return result
 
 
-def _write_in_place(path, write, value):
-    """write(tmp, value) to a temporary name beside `path`, then move it onto `path`.
-
-    `path` holds either its old content or all of the new, never part of it.
-    """
-    tmp = path + ".tmp"
-    try:
-        write(tmp, value)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
-
-
-def write_boundary_file(path, boundary_seconds):
+def _boundary_text(boundary_seconds):
     """Two-column start/end text, one segment per line."""
-    b = np.asarray(boundary_seconds, dtype=np.float64)
-    np.savetxt(path, np.column_stack([b[:-1], b[1:]]), fmt="%.17g", delimiter="\t")
+    return "".join(f"{s:.17g}\t{e:.17g}\n" for s, e in zip(boundary_seconds[:-1], boundary_seconds[1:]))
 
 
 def run_batch(dataset_dir, cfg):
@@ -255,17 +239,17 @@ def run_batch(dataset_dir, cfg):
 
     if cfg.output_dir:
         os.makedirs(cfg.output_dir, exist_ok=True)
-        _write_in_place(os.path.join(cfg.output_dir, "aggregate.json"), matio.write_json, {
+        matio.write_in_place(os.path.join(cfg.output_dir, "aggregate.json"), matio.write_json, {
             **aggregate,
             "failures": {k: str(v).splitlines()[0] for k, v in failures.items()},
         })
-        _write_in_place(os.path.join(cfg.output_dir, "aggregate.csv"), _write_aggregate_csv, per_tol)
+        matio.write_in_place(os.path.join(cfg.output_dir, "aggregate.csv"), matio.write_text, _aggregate_csv(per_tol))
     return aggregate, results, failures
 
 
-def _write_aggregate_csv(path, per_tol):
-    with open(path, "w") as fh:
-        fh.write(",".join(("tolerance",) + _MEAN_METRICS + ("n_songs",)) + "\n")
-        for key, row in per_tol.items():
-            means = [format(row[m], ".17g") for m in _MEAN_METRICS]
-            fh.write(",".join([key, *means, str(row["n_songs"])]) + "\n")
+def _aggregate_csv(per_tol):
+    """aggregate.csv: a header, then each tolerance's means and song count."""
+    rows = [("tolerance", *_MEAN_METRICS, "n_songs")]
+    rows += [(key, *(format(row[m], ".17g") for m in _MEAN_METRICS), str(row["n_songs"]))
+             for key, row in per_tol.items()]
+    return "".join(",".join(row) + "\n" for row in rows)

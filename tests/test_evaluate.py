@@ -134,7 +134,44 @@ class TestHitRateProperties:
         assert res.matched_pairs == sorted(res.matched_pairs)
 
 
+def align_to_downbeats_reference(annot, grid):
+    """The per-time loop that `align_to_downbeats` replaced, kept as its reference."""
+    downbeats = grid.downbeats
+    snapped = []
+    for t in annot.times:
+        idx = np.searchsorted(downbeats, t)
+        candidates = []
+        if idx > 0:
+            candidates.append(downbeats[idx - 1])
+        if idx < len(downbeats):
+            candidates.append(downbeats[idx])
+        nearest = candidates[0]
+        for c in candidates[1:]:
+            if abs(c - t) < abs(nearest - t):
+                nearest = c
+        snapped.append(nearest)
+    return np.unique(np.asarray(snapped))
+
+
+class TestBoundarySet:
+    @pytest.mark.parametrize("times", [[np.nan], [1.0, np.inf], [-np.inf, 0.0], [0.0, np.nan, 2.0]])
+    def test_non_finite_rejected(self, times):
+        with pytest.raises(ValueError, match="boundary times must be finite"):
+            evaluate.BoundarySet(times)
+
+
 class TestAlignToDownbeats:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        downbeats = np.cumsum(rng.integers(1, 5, 12) * 0.25) + 0.5
+        mids = (downbeats[:-1] + downbeats[1:]) / 2  # ties: exact in binary
+        edges = [0.0, 0.1, downbeats[-1] + 0.3, downbeats[-1] + 7.0]
+        times = np.concatenate([rng.uniform(0, downbeats[-1] + 2, 40), downbeats, mids, edges])
+        grid, annot = BarGrid(downbeats), evaluate.BoundarySet(np.unique(times))
+        out = evaluate.align_to_downbeats(annot, grid)
+        assert out.times.tobytes() == align_to_downbeats_reference(annot, grid).tobytes()
+
     def test_snap_to_nearest(self):
         grid = BarGrid([0.0, 2.0, 4.0])
         out = evaluate.align_to_downbeats(evaluate.BoundarySet(np.array([1.9])), grid)

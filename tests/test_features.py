@@ -320,6 +320,25 @@ class TestLoadWav:
         with pytest.raises(ValueError):
             features.load_wav(path)
 
+    @pytest.mark.parametrize("tag, channels, bits, block_align", [
+        (1, 1, 32, 2),  # 32-bit PCM in 2-byte samples would read as int16
+        (3, 1, 64, 4),  # 64-bit float in 4 bytes would read as float32
+        (1, 2, 16, 5),  # stereo 16-bit in 5-byte frames would read as 4-byte int16 pairs
+    ])
+    def test_fmt_sizes_must_agree(self, tmp_path, tag, channels, bits, block_align):
+        body = struct.pack("<HHIIHH", tag, channels, 44100, 44100 * block_align, block_align, bits)
+        data = riff_file(chunk(b"fmt ", body), chunk(b"data", b"\1" * (20 * block_align)))
+        with pytest.raises(ValueError, match=r"cannot decode WAV file \(fmt chunk sizes disagree"):
+            decode_bytes(tmp_path, data)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_rejected(self, bad):
+        # The bad sample lies past the first block the check reads.
+        samples = np.zeros(2 * features._CHECK_BLOCK)
+        samples[features._CHECK_BLOCK + 5] = bad
+        with pytest.raises(ValueError, match="audio contains non-finite samples"):
+            features.AudioSignal(samples, 44100)
+
 
 class TestStftPower:
     def test_sine_at_bin_center(self):
@@ -397,8 +416,10 @@ class TestStftPower:
         # SciPy costs most of the package import time; the window is built
         # directly, the WAV reader uses struct and NumPy, and the MFCC DCT
         # is a NumPy matrix product, so `import barseg` loads no SciPy.
+        # The helper threads' concurrent.futures is imported at the call.
         src = os.path.dirname(os.path.dirname(features.__file__))
-        code = "import sys, barseg; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        code = ("import sys, barseg; print(sorted(m for m in sys.modules"
+                " if m.startswith('scipy') or m == 'concurrent.futures'))")
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr

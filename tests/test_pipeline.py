@@ -101,6 +101,12 @@ class TestRunSong:
         assert list(starts) == result.boundaries_seconds[:-1]
         assert list(ends) == result.boundaries_seconds[1:]
 
+    def test_boundary_text_is_the_savetxt_bytes(self, tmp_path):
+        # The boundary file was np.savetxt of the start and end columns, kept here as its reference.
+        b = np.array([0.0, -0.0, 0.1, 1e-320, 2.5, 123456.78901234567, 1e300])
+        np.savetxt(tmp_path / "ref.txt", np.column_stack([b[:-1], b[1:]]), fmt="%.17g", delimiter="\t")
+        assert pipeline._boundary_text(b) == (tmp_path / "ref.txt").read_text()
+
     def test_autosim_pgm_diagonal_white(self, pca_run):
         _, out, _ = pca_run
         pixels = matio.read_pgm(out / "audio.autosim.pgm")
@@ -417,6 +423,23 @@ class TestCli:
         assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("writer, suffix", [("write_csv_matrix", "csv"), ("write_bseg", "bseg")])
+    def test_interrupted_features_write_keeps_the_earlier_file(self, short_song_dir, tmp_path, monkeypatch,
+                                                                writer, suffix):
+        argv = ["features", str(short_song_dir / "audio.wav"), "--feature", "chroma", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def disk_full(path, matrix):
+            with open(path, "w") as fh:
+                fh.write("0.5,")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(matio, writer, disk_full)
+        assert cli.main(argv) == 2
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert f"audio.chroma.{suffix}" in before
+
     def test_features_config_ignores_keys_that_change_no_feature(self, short_song_dir, tmp_path):
         # One config file serves features and segment alike: features reads
         # only its feature keys, so a segment-only value cannot fail it.
@@ -597,6 +620,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "barseg: error: command line: dc_sweep: invalid literal for int() with base 10: 'x'\n"
         assert not (tmp_path / "out").exists()
+
+    def test_dc_sweep_checks_every_value_before_the_first_run(self, short_song_dir, tmp_path, capsys):
+        rc = cli.main([
+            "segment", str(short_song_dir / "audio.wav"), "--downbeats", str(short_song_dir / "downbeats.txt"),
+            "--dc-sweep", "4,0", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "barseg: error: d_c is required unless compressor=none\n"
+        assert not (tmp_path / "out" / "dc4").exists()
+
+    def test_interrupted_eval_write_keeps_the_earlier_file(self, song_dir, tmp_path, monkeypatch, capsys):
+        ann = str(song_dir / "annotations.txt")
+        assert cli.main(["eval", ann, ann, "--out", str(tmp_path)]) == 0
+        before = (tmp_path / "eval.json").read_bytes()
+
+        def disk_full(path, obj):
+            with open(path, "w") as fh:
+                fh.write("{")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(matio, "write_json", disk_full)
+        assert cli.main(["eval", ann, ann, "--out", str(tmp_path)]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["eval.json"]
+        assert (tmp_path / "eval.json").read_bytes() == before
 
     def test_eval_subcommand(self, song_dir, tmp_path, capsys):
         ann = str(song_dir / "annotations.txt")
