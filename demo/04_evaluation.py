@@ -43,7 +43,7 @@ def main():
     print(f"downbeat-aligned: {[float(t) for t in aligned.times]}")
 
     report = evaluate.evaluate_boundaries(np.array([0.0, 12.0, 24.0]), np.asarray(ref))
-    print("full report:", report.to_dict())
+    print("full report:", report)
 
 
 if __name__ == "__main__":

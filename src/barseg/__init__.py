@@ -10,7 +10,6 @@ from .autoencoder import AENetwork, train_single_song
 from .bars import BarGrid, BarwiseTF, barwise_tf, load_downbeats, select_frames
 from .evaluate import (
     BoundarySet,
-    EvalReport,
     align_to_downbeats,
     evaluate_boundaries,
     hit_rate,

@@ -12,6 +12,20 @@ import numpy as np
 DEFAULT_SUBDIVISION = 96
 
 
+def check_times(times, noun):
+    """`times` as a float64 array, if it is 1-D, finite, nonnegative and strictly increasing."""
+    times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1:
+        raise ValueError(f"{noun} must be a 1-D array")
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"{noun} must be finite")
+    if len(times) and times[0] < 0:
+        raise ValueError(f"{noun} must be nonnegative")
+    if not np.all(np.diff(times) > 0):
+        raise ValueError(f"{noun} must be strictly increasing")
+    return times
+
+
 @dataclass
 class BarGrid:
     """Finite, strictly increasing downbeat times in seconds; b+1 times delimit b bars."""
@@ -19,15 +33,9 @@ class BarGrid:
     downbeats: np.ndarray
 
     def __post_init__(self):
-        self.downbeats = np.asarray(self.downbeats, dtype=np.float64)
-        if self.downbeats.ndim != 1 or len(self.downbeats) < 2:
+        self.downbeats = check_times(self.downbeats, "downbeats")
+        if len(self.downbeats) < 2:
             raise ValueError(f"BarGrid needs at least 2 downbeat times, got {len(self.downbeats)}")
-        if not np.all(np.isfinite(self.downbeats)):
-            raise ValueError("downbeats must be finite")
-        if self.downbeats[0] < 0:
-            raise ValueError("downbeats must be nonnegative")
-        if not np.all(np.diff(self.downbeats) > 0):
-            raise ValueError("downbeats must be strictly increasing")
 
     @property
     def n_bars(self):
@@ -103,9 +111,9 @@ def select_frames(f_start, f_end, subdivision):
 
     Returns f_start + floor(k * (f_end - f_start) / subdivision) for
     0 <= k < subdivision; repeats occur when the bar is shorter than the
-    subdivision.
+    subdivision. Column arrays of starts and ends give one row per range.
     """
-    if f_start < 0 or f_end <= f_start:
+    if np.any(f_start < 0) or np.any(f_end <= f_start):
         raise ValueError(f"invalid frame range [{f_start}, {f_end})")
     if subdivision < 1:
         raise ValueError(f"subdivision must be >= 1, got {subdivision}")
@@ -122,14 +130,12 @@ def barwise_tf(spec, grid, subdivision=DEFAULT_SUBDIVISION):
     """
     frames_per_second = spec.sample_rate / spec.hop
     edges = downbeat_frames(grid.downbeats, frames_per_second, spec.n_frames)
-    if edges[0] >= spec.n_frames:
-        raise ValueError("first downbeat lies past the end of the spectrogram")
-    plan = np.empty((grid.n_bars, subdivision), dtype=np.int64)
-    for i in range(grid.n_bars):
-        f_start, f_end = edges[i], edges[i + 1]
-        if f_end <= f_start:
-            raise ValueError(f"bar {i}: downbeats map to an empty frame range [{f_start}, {f_end})")
-        plan[i] = select_frames(f_start, f_end, subdivision)
+    # Edges are capped at n_frames, so a grid starting past the end has an empty bar 0.
+    empty = np.flatnonzero(edges[1:] <= edges[:-1])
+    if len(empty):
+        i = empty[0]
+        raise ValueError(f"bar {i}: downbeats map to an empty frame range [{edges[i]}, {edges[i + 1]})")
+    plan = select_frames(edges[:-1, None], edges[1:, None], subdivision)
     values = spec.at(plan.ravel())  # f x (b*s), bar-major columns
     n_bins = values.shape[0]
     rows = values.reshape(n_bins, grid.n_bars, subdivision).transpose(1, 0, 2).reshape(grid.n_bars, -1)

@@ -121,7 +121,7 @@ def cmd_eval(args):
     est = evaluate.load_annotations(args.estimated)
     ref = evaluate.load_annotations(args.reference)
     tolerances = _build_pipeline_config(args).tolerances
-    report = evaluate.evaluate_boundaries(est, ref, tolerances).to_dict()
+    report = evaluate.evaluate_boundaries(est, ref, tolerances)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         matio.write_in_place(os.path.join(args.out, "eval.json"), matio.write_json, report)

@@ -2,13 +2,16 @@
 
 Estimated and reference boundary times are matched one-to-one by maximum
 bipartite matching within a tolerance window; precision, recall, and
-F-measure are reported per tolerance (0.5s strict, 3s lenient).
+F-measure are reported per tolerance (0.5s strict, 3s lenient), as a
+JSON-ready dict keyed by tolerance.
 """
 
 import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from .bars import check_times
 
 DEFAULT_TOLERANCES = (0.5, 3.0)
 
@@ -20,15 +23,7 @@ class BoundarySet:
     times: np.ndarray
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=np.float64)
-        if self.times.ndim != 1:
-            raise ValueError("BoundarySet expects a 1-D array of times")
-        if not np.all(np.isfinite(self.times)):
-            raise ValueError("boundary times must be finite")
-        if len(self.times) and self.times[0] < 0:
-            raise ValueError("boundary times must be nonnegative")
-        if not np.all(np.diff(self.times) > 0):
-            raise ValueError("boundary times must be strictly increasing")
+        self.times = check_times(self.times, "boundary times")
 
     def __len__(self):
         return len(self.times)
@@ -50,14 +45,6 @@ class ToleranceResult:
         out = asdict(self)
         del out["matched_pairs"]
         return {"tol": out.pop("tolerance"), **out}
-
-
-@dataclass
-class EvalReport:
-    results: dict  # tolerance -> ToleranceResult
-
-    def to_dict(self):
-        return {format(tol, "g"): res.to_dict() for tol, res in sorted(self.results.items())}
 
 
 def hit_rate(est, ref, tol):
@@ -100,8 +87,8 @@ def hit_rate(est, ref, tol):
 
 
 def evaluate_boundaries(est, ref, tolerances=DEFAULT_TOLERANCES):
-    """EvalReport over several tolerances."""
-    return EvalReport({tol: hit_rate(est, ref, tol) for tol in tolerances})
+    """{format(tol, "g"): hit_rate(est, ref, tol).to_dict()}, in increasing tolerance order."""
+    return {format(tol, "g"): hit_rate(est, ref, tol).to_dict() for tol in sorted(tolerances)}
 
 
 def align_to_downbeats(annot, grid):
@@ -144,9 +131,12 @@ def load_annotations(path, dedup_tol=1e-6):
     times = np.sort(np.asarray(times, dtype=np.float64))
     keep = [times[0]]
     for t in times[1:]:
-        if t - keep[-1] > dedup_tol:
+        if not t - keep[-1] <= dedup_tol:  # NaN is kept, for BoundarySet to reject
             keep.append(t)
-    return BoundarySet(np.asarray(keep))
+    try:
+        return BoundarySet(np.asarray(keep))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _is_float(token):

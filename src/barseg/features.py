@@ -62,12 +62,13 @@ class AudioSignal:
     `AudioSignal(samples, sample_rate)` takes float samples. `load_wav`
     gives one that keeps the file's stored samples (frames, or frames x
     channels) with the offset and scale that map them onto [-1, 1].
-    `.samples` decodes the whole signal into float64 each time it is
-    read; `FeatureFrames` decodes only the samples its frames cover.
+    The signal owns its float samples: `AudioSignal` copies them, and
+    `.samples` decodes the whole signal into a new float64 array each time
+    it is read. `FeatureFrames` decodes only the samples its frames cover.
     """
 
     def __init__(self, samples, sample_rate):
-        samples = np.asarray(samples, dtype=np.float64)
+        samples = np.array(samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ValueError("AudioSignal expects a 1-D sample array")
         self._set(samples, 0.0, 1.0, sample_rate)
@@ -94,8 +95,9 @@ class AudioSignal:
 
     @property
     def samples(self):
-        """Float64 mono samples of the whole signal."""
-        return self._decode(self._stored)
+        """Float64 mono samples of the whole signal, in a new array."""
+        samples = self._decode(self._stored)
+        return samples.copy() if samples is self._stored else samples
 
     def _decode(self, stored):
         """Float64 mono samples of stored ones: (stored - offset) / scale, then the channel mean.
@@ -135,8 +137,8 @@ _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
 def _read_exactly(fh, n):
     """The next n bytes of fh. A size past the file's end raises before any buffer is made.
 
-    The buffer is a writable bytearray: `.samples` of a mono float64 RIFF
-    file is a view of it, and must stay writable as a decoded copy is.
+    The buffer is a bytearray, which the signal's stored samples view;
+    `.samples` copies them out.
     """
     short = n - (os.fstat(fh.fileno()).st_size - fh.tell())
     if short > 0:

@@ -162,7 +162,7 @@ def run_song(cfg, song_id=None):
         with _stage("evaluation", timings):
             ref = evaluate.load_annotations(cfg.annotations_path)
             est = evaluate.BoundarySet(seg.boundaries_seconds)
-            eval_report = evaluate.evaluate_boundaries(est, ref, cfg.tolerances).to_dict()
+            eval_report = evaluate.evaluate_boundaries(est, ref, cfg.tolerances)
     result = SongResult(
         song_id=song_id,
         config=cfg.echo(),

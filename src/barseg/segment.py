@@ -2,10 +2,11 @@
 
 A segment's cost aggregates the similarities of its bar pairs through a
 fixed homogeneity kernel (0 diagonal, 2 on the four sub/super diagonals,
-1 elsewhere). Costs are normalized by the highest size-8 window cost and
-penalized by a musical segment-size prior (8 bars free, 4 bars cheap,
-even sizes mild, odd sizes expensive); dynamic programming then picks the
-boundary set with the maximal total score.
+1 elsewhere), built once per size and read-only. Costs are normalized by
+the highest size-8 window cost and penalized by a musical segment-size
+prior (8 bars free, 4 bars cheap, even sizes mild, odd sizes expensive);
+dynamic programming then picks the boundary set with the maximal total
+score.
 """
 
 import warnings
@@ -70,19 +71,16 @@ def cosine_autosimilarity(Z):
 
 
 @lru_cache(maxsize=None)
-def _kernel_cached(n):
+def kernel(n):
+    """Homogeneity kernel: 0 diagonal, 2 within 4 bars, 1 beyond; cached and read-only."""
+    if n < 1:
+        raise ValueError(f"kernel size must be >= 1, got {n}")
     dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     K = np.ones((n, n))
     K[dist == 0] = 0.0
     K[(dist >= 1) & (dist <= 4)] = 2.0
     K.setflags(write=False)
     return K
-
-def kernel(n):
-    """Homogeneity kernel: 0 diagonal, 2 within 4 bars, 1 beyond."""
-    if n < 1:
-        raise ValueError(f"kernel size must be >= 1, got {n}")
-    return np.array(_kernel_cached(n))
 
 
 def penalty(n):
@@ -103,7 +101,7 @@ def segment_cost(A, b_start, b_end):
         raise ValueError(f"segment [{b_start}, {b_end}) out of range for {b} bars")
     n = b_end - b_start
     block = A[b_start:b_end, b_start:b_end]
-    raw = float(np.sum(_kernel_cached(n) * block))
+    raw = float(np.sum(kernel(n) * block))
     return raw / n**COST_NORM_EXPONENT
 
 

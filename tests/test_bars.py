@@ -26,6 +26,21 @@ def spec_from(values, hop=32, sr=44100, kind="nnlms"):
     return ArrayFeature(np.asarray(values, dtype=float), hop, sr, kind)
 
 
+class TestBarGrid:
+    @pytest.mark.parametrize("downbeats", [5.0, [[0.0, 1.0], [2.0, 3.0]]])
+    def test_non_1d_rejected(self, downbeats):
+        with pytest.raises(ValueError, match=r"^downbeats must be a 1-D array$"):
+            bars.BarGrid(downbeats)
+
+
+def per_bar_plan(edges, subdivision):
+    """The b x s frame plan, one `select_frames` call per bar."""
+    plan = np.empty((len(edges) - 1, subdivision), dtype=np.int64)
+    for i in range(len(edges) - 1):
+        plan[i] = bars.select_frames(edges[i], edges[i + 1], subdivision)
+    return plan
+
+
 class TestLoadDownbeats:
     def test_two_bars(self, tmp_path):
         path = tmp_path / "db.txt"
@@ -76,6 +91,8 @@ class TestSelectFrames:
             bars.select_frames(5, 5, 4)
         with pytest.raises(ValueError):
             bars.select_frames(5, 3, 4)
+        with pytest.raises(ValueError):
+            bars.select_frames(np.array([[0], [5]]), np.array([[5], [5]]), 4)
 
     def test_monotone_and_in_range(self):
         rng = np.random.default_rng(0)
@@ -129,9 +146,28 @@ class TestBarwiseTF:
 
     def test_degenerate_bar_rejected_with_index(self):
         spec = spec_from(np.zeros((2, 100)), hop=32, sr=3200)
-        grid = bars.BarGrid([0.0, 0.5, 0.5001])
-        with pytest.raises(ValueError, match="bar 1"):
+        grid = bars.BarGrid([0.0, 0.5, 0.5001, 0.5002])
+        with pytest.raises(ValueError, match=r"^bar 1: downbeats map to an empty frame range \[50, 50\)$"):
             bars.barwise_tf(spec, grid, subdivision=4)
+
+    def test_grid_past_the_end_has_an_empty_bar_0(self):
+        spec = spec_from(np.zeros((2, 100)), hop=32, sr=3200)
+        with pytest.raises(ValueError, match=r"^bar 0: downbeats map to an empty frame range \[100, 100\)$"):
+            bars.barwise_tf(spec, bars.BarGrid([2.0, 3.0]), subdivision=4)
+
+    def test_plan_matches_per_bar_loop(self):
+        # A one-bin feature whose value is its frame index reads back the plan.
+        hop, sr = 32, 3200
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            steps = rng.integers(1, 300, int(rng.integers(1, 20)))
+            edges = int(rng.integers(0, 50)) + np.concatenate([[0], np.cumsum(steps)])
+            n_frames = int(edges[-2] + 1 + rng.integers(0, 2 * steps[-1]))  # may cap the last edge
+            grid = bars.BarGrid((edges + rng.uniform(0, 0.4, len(edges))) * hop / sr)
+            subdivision = int(rng.integers(1, 130))
+            tf = bars.barwise_tf(spec_from(np.arange(n_frames)[None, :], hop=hop, sr=sr), grid, subdivision)
+            expected = per_bar_plan(bars.downbeat_frames(grid.downbeats, sr / hop, n_frames), subdivision)
+            assert np.array_equal(tf.values, expected)
 
     def test_bars_from_the_last_frame_on_are_dropped(self):
         # 10 frames a second, 11 frames: the last frame is 10, at 1.0 s.

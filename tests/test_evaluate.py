@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barseg import evaluate
+from barseg import cli, evaluate
 from barseg.bars import BarGrid
 
 
@@ -221,6 +223,19 @@ class TestLoadAnnotations:
         out = evaluate.load_annotations(path)
         assert np.array_equal(out.times, [0.0, 10.0, 20.0])
 
+    @pytest.mark.parametrize("line, message", [
+        ("12.0\tinf\tB", "boundary times must be finite"),
+        ("-1.0\tchorus", "boundary times must be nonnegative"),
+        ("nan\toutro", "boundary times must be finite"),
+    ])
+    def test_bad_time_names_the_file(self, tmp_path, capsys, line, message):
+        path = tmp_path / "ann.txt"
+        path.write_text(f"0.0\tintro\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+            evaluate.load_annotations(path)
+        assert cli.main(["eval", str(path), str(path)]) == 2
+        assert capsys.readouterr().err == f"barseg: error: {path}: {message}\n"
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "ann.txt"
         path.write_text("")
@@ -234,11 +249,10 @@ class TestLoadAnnotations:
             evaluate.load_annotations(path)
 
 
-class TestEvalReport:
+class TestEvaluateBoundaries:
     def test_report_dict_shape(self):
         est = np.array([0.0, 5.0, 10.0])
-        report = evaluate.evaluate_boundaries(est, est)
-        d = report.to_dict()
-        assert set(d) == {"0.5", "3"}
+        d = evaluate.evaluate_boundaries(est, est, (3.0, 0.5))
+        assert list(d) == ["0.5", "3"]
         assert d["0.5"]["f_measure"] == 1.0
         assert {"tol", "precision", "recall", "f_measure", "n_est", "n_ref", "n_matched"} <= set(d["3"])

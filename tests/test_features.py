@@ -331,6 +331,13 @@ class TestLoadWav:
         with pytest.raises(ValueError, match=r"cannot decode WAV file \(fmt chunk sizes disagree"):
             decode_bytes(tmp_path, data)
 
+    def test_signal_owns_its_samples(self):
+        x = np.zeros(4096)
+        signal = features.AudioSignal(x, 44100)
+        x[0] = np.nan
+        signal.samples[1] = np.inf
+        assert np.array_equal(signal.samples, np.zeros(4096))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_array_rejected(self, bad):
         # The bad sample lies past the first block the check reads.

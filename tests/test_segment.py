@@ -142,6 +142,12 @@ class TestKernelPenalty:
     def test_kernel_size_1(self):
         assert np.array_equal(segment.kernel(1), [[0.0]])
 
+    def test_kernel_is_cached_and_read_only(self):
+        K = segment.kernel(6)
+        assert segment.kernel(6) is K
+        with pytest.raises(ValueError, match="read-only"):
+            K[0, 0] = 1.0
+
     def test_kernel_closed_form_1_to_64(self):
         for n in range(1, 65):
             K = segment.kernel(n)
