@@ -33,9 +33,10 @@ loss improves. When no value of that loss could change the LR or stop
 training, `train_single_song` hands the pass to one helper thread and
 trains epoch e + 1 meanwhile; otherwise the pass runs before epoch
 e + 1. So nothing is rolled back or redone, and the losses, parameters
-and errors are the serial loop's. As in `FeatureFrames.at`, a process
-without two CPUs per BLAS thread (`workers.worker_count`) starts no
-thread, the helper's exception propagates, and no thread outlives the
+and errors are the serial loop's. As in `FeatureFrames.at`, the helper
+thread is the process's one (`workers.helper`): a process without two
+CPUs per BLAS thread, or a song of a two-worker batch, starts no
+thread. The helper's exception propagates, and no thread outlives the
 call.
 """
 
@@ -495,11 +496,14 @@ def train_single_song(bars, d_c, seed=42, max_epochs=1000, batch_size=8):
     d_c x b embedding Z encoded by the best-loss parameters; max_epochs=0
     gives the encoding of the initial network.
 
-    Epoch e's loss pass runs on a helper thread while epoch e + 1 trains,
-    whenever no value of that loss could change the LR or stop training
-    (see `PlateauSchedule.may_act`); otherwise it runs before epoch e + 1
-    starts. Either way every loss, LR and parameter byte is that of the
-    serial loop, and so is the error a non-finite loss raises.
+    Epoch e's loss pass runs on the helper thread while epoch e + 1
+    trains, whenever no value of that loss could change the LR or stop
+    training (see `PlateauSchedule.may_act`); otherwise it runs before
+    epoch e + 1 starts. Without the helper (`workers.helper` gives None,
+    as it does while a two-worker batch holds it), every pass runs
+    before the next epoch. Either way every loss, LR and parameter byte
+    is that of the serial loop, and so is the error a non-finite loss
+    raises.
     """
     bars = np.asarray(bars, dtype=np.float64)
     if bars.ndim != 3 or bars.shape[0] < 1:
@@ -511,7 +515,6 @@ def train_single_song(bars, d_c, seed=42, max_epochs=1000, batch_size=8):
     schedule = PlateauSchedule()
     # Every loss pass runs on this copy of the parameters, on either thread.
     snapshot = AENetwork(f, s, d_c)
-    overlap = workers.worker_count() >= 2
 
     best_state, best_loss = net.get_state(), _full_loss(net, bars)
     trace = []
@@ -527,10 +530,7 @@ def train_single_song(bars, d_c, seed=42, max_epochs=1000, batch_size=8):
             best_loss, best_state = loss, snapshot.get_state()
         return stop
 
-    from concurrent.futures import ThreadPoolExecutor  # imported here: `import barseg` stays lean
-
-    # A pool given no work starts no thread, and leaving the block waits for its thread.
-    with ThreadPoolExecutor(1) as pool:
+    with workers.helper() as pool:
         pending = None  # the loss pass of the epoch before, running on the helper
         for epoch in range(max_epochs):
             order = rng.permutation(b)
@@ -545,7 +545,7 @@ def train_single_song(bars, d_c, seed=42, max_epochs=1000, batch_size=8):
                 if pending is not None:
                     book(pending.result())
             snapshot.set_state(net.parameters())
-            if overlap and epoch + 1 < max_epochs and not schedule.may_act():
+            if pool is not None and epoch + 1 < max_epochs and not schedule.may_act():
                 pending = pool.submit(_full_loss, snapshot, bars)
             else:
                 pending = None

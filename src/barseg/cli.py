@@ -94,8 +94,10 @@ def cmd_features(args):
     return 0
 
 
-def _print_result(result):
-    print(f"{result.song_id}: boundaries (bars) {result.boundaries_bars}")
+def _print_result(result, run=""):
+    """Print a song's boundaries and scores, headed `<run>/<song>` for a run of a sweep."""
+    name = f"{run}/{result.song_id}" if run else result.song_id
+    print(f"{name}: boundaries (bars) {result.boundaries_bars}")
     for key, row in result.eval_report.items():
         print(
             f"  tol {key}s: P={row['precision']:.3f} R={row['recall']:.3f} F={row['f_measure']:.3f}"
@@ -104,16 +106,18 @@ def _print_result(result):
 
 def cmd_segment(args):
     base = _build_pipeline_config(args)
-    configs = [base]
+    runs = [("", base)]
     if args.dc_sweep:
         sweep = _convert("command line", "dc_sweep", lambda v: [int(t) for t in v.split(",")], args.dc_sweep)
         # Each config checks its d_c here, before the first run writes anything.
-        configs = [
-            dataclasses.replace(base, d_c=d_c, output_dir=base.output_dir and os.path.join(base.output_dir, f"dc{d_c}"))
+        # A run is named after its output subdirectory.
+        runs = [
+            (f"dc{d_c}", dataclasses.replace(
+                base, d_c=d_c, output_dir=base.output_dir and os.path.join(base.output_dir, f"dc{d_c}")))
             for d_c in sweep
         ]
-    for cfg in configs:
-        _print_result(pipeline.run_song(cfg))
+    for run, cfg in runs:
+        _print_result(pipeline.run_song(cfg), run)
     return 0
 
 

@@ -20,10 +20,11 @@ its float samples for NaN and infinity, 65,536 frames at a time.
 
 `FeatureFrames.at` takes its frames in chunks of 256 or more, each from
 samples to feature before its worker takes the next. Two workers, the
-calling thread and one helper thread, draw chunks from one shared list
-and write disjoint column slices of the output. A call of one chunk, or
-a process without two CPUs per BLAS thread (`workers.worker_count`),
-runs on the calling thread alone.
+calling thread and the process's helper thread (`workers.helper`), draw
+chunks from one shared list and write disjoint column slices of the
+output. A call of one chunk, a process without two CPUs per BLAS thread,
+or a call made while another holds the helper (a song of a two-worker
+batch) runs on the calling thread alone.
 The threads pay because each step is a NumPy call on thousands of
 values, which releases the GIL. Within a chunk, the frames go 16 at a
 time: gather their stored samples, decode them as (stored - offset) /
@@ -343,6 +344,9 @@ class FeatureFrames:
 
         Each chunk of frames is reduced to its feature before its worker
         takes the next chunk, so memory beyond the output stays bounded.
+        The chunks run on the calling thread and, if `workers.helper`
+        lends it, on the helper thread; while a two-worker batch holds the
+        helper, they run on the calling thread alone. The bytes are the same.
         """
         frames = np.asarray(frames, dtype=np.int64)
         if frames.size and not (0 <= frames.min() and frames.max() < self.n_frames):
@@ -353,11 +357,6 @@ class FeatureFrames:
         window = _hann_window(self.n_fft)
         rows = _frame_rows(self.signal._stored, self.n_fft)
         chunks = list(workers.spans(len(frames), _CHUNK))
-        n_workers = 2 if len(chunks) >= 2 and workers.worker_count() >= 2 else 1
-        # The calling thread makes every worker's power block: a block made on
-        # the helper thread would stay in that thread's malloc arena.
-        widest = max((stop - start for start, stop in chunks), default=0)
-        blocks = [np.empty((half + 1) * widest) for _ in range(n_workers)]
         shared = iter(chunks)  # under the GIL, next() hands each chunk to one worker
 
         def work(block):
@@ -366,10 +365,12 @@ class FeatureFrames:
                 _fill_power(self.signal, rows, window, frames[start:stop] * self.hop - half, power)
                 out[:, start:stop] = feature_of(power)
 
-        from concurrent.futures import ThreadPoolExecutor  # imported here: `import barseg` stays lean
-
-        # A pool given no work starts no thread, so one worker runs on the caller alone.
-        with ThreadPoolExecutor(1) as pool:
+        with workers.helper() as pool:
+            n_workers = 2 if len(chunks) >= 2 and pool is not None else 1
+            # The calling thread makes every worker's power block: a block made on
+            # the helper thread would stay in that thread's malloc arena.
+            widest = max((stop - start for start, stop in chunks), default=0)
+            blocks = [np.empty((half + 1) * widest) for _ in range(n_workers)]
             helpers = [pool.submit(work, block) for block in blocks[1:]]
             work(blocks[0])
             for helper in helpers:

@@ -87,15 +87,24 @@ def nmf_compress(X, d_c, max_iters=500, tol=1e-8, seed=42, init_W=None, init_H=N
     if np.any(W < 0) or np.any(H < 0):
         raise ValueError("initial factors must be nonnegative")
 
-    norm_x_sq = float(np.sum(X * X))
-
-    R0 = X - W @ H
-    trace = [float(np.sum(R0 * R0))]
+    # One n x b scratch buffer gives ||X||^2 and the starting residual. X * X
+    # takes X's memory order and X - W @ H the C order of W @ H, and each sum
+    # adds its terms in that order, so the buffer is viewed in each in turn.
+    scratch = np.multiply(X, X)
+    norm_x_sq = float(np.sum(scratch))
+    residual = scratch.ravel(order="K").reshape(n, b)
+    np.matmul(W, H, out=residual)
+    np.subtract(X, residual, out=residual)
+    np.multiply(residual, residual, out=residual)
+    trace = [float(np.sum(residual))]
+    del scratch, residual
     # W is held as d x n while iterating: each column update reads and writes one contiguous row.
     Wt = np.ascontiguousarray(W.T)
-    tmp_n, tmp_b = np.empty(n), np.empty(b)
+    del W
+    tmp_n, tmp_b, HXt = np.empty(n), np.empty(b), np.empty((d_c, n))
     for _ in range(max_iters):
-        _hals_rows(Wt, H @ H.T, H @ X.T, tmp_n)
+        np.matmul(H, X.T, out=HXt)
+        _hals_rows(Wt, H @ H.T, HXt, tmp_n)
         WtW = Wt @ Wt.T
         WtX = Wt @ X
         _hals_rows(H, WtW, WtX, tmp_b)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import autoencoder, bars, evaluate, features, lowrank, matio, segment
+from . import autoencoder, bars, evaluate, features, lowrank, matio, segment, workers
 
 FEATURES = ("chroma", "mel", "lms", "nnlms", "mfcc")
 COMPRESSORS = ("pca", "nmf", "ae", "none")
@@ -152,6 +152,8 @@ def run_song(cfg, song_id=None):
         spec = features.FeatureFrames(signal, cfg.feature, n_fft=cfg.n_fft, hop=cfg.hop)
     with _stage("barwise_tf", timings):
         tf_matrix = bars.barwise_tf(spec, grid, subdivision=cfg.subdivision)
+    # The later stages read only tf_matrix and grid, so the stored audio goes before compression.
+    del signal, spec
     with _stage("compression", timings):
         Z = _compress(tf_matrix, cfg)
     with _stage("segmentation", timings):
@@ -194,8 +196,14 @@ def _boundary_text(boundary_seconds):
 def run_batch(dataset_dir, cfg):
     """Run every <dataset_dir>/<song>/ directory through the pipeline.
 
-    Per-song failures are recorded and the batch continues. Returns
-    (aggregate dict, results list, failures dict).
+    Songs share no model or data, so a batch of two or more runs them two
+    at a time when `workers.helper` lends the helper thread (the process
+    may use two CPUs per BLAS thread): the calling thread and the helper
+    take songs in sorted order from one shared iterator. A song then runs
+    its features and AE on its own thread alone. A one-song batch leaves
+    the helper to those steps. Per-song failures are recorded and the
+    batch continues. Returns (aggregate dict, results list, failures
+    dict), in sorted song order whichever thread ran each song.
     """
     if not os.path.isdir(dataset_dir):
         raise ValueError(f"dataset directory not found: {dataset_dir}")
@@ -205,27 +213,43 @@ def run_batch(dataset_dir, cfg):
     if not song_dirs:
         raise ValueError(f"no song directories in {dataset_dir}")
 
-    results, failures = [], {}
-    for song in song_dirs:
-        base = os.path.join(dataset_dir, song)
-        annotations = os.path.join(base, "annotations.txt")
-        song_cfg = replace(
-            cfg,
-            audio_path=os.path.join(base, "audio.wav"),
-            downbeats_path=os.path.join(base, "downbeats.txt"),
-            annotations_path=annotations if os.path.exists(annotations) else "",
-            output_dir=os.path.join(cfg.output_dir, song) if cfg.output_dir else "",
-        )
+    outcomes = {}  # song -> its SongResult, or the text of its failure
+    shared = iter(song_dirs)  # under the GIL, next() hands each song to one worker
+
+    def work():
+        for song in shared:
+            base = os.path.join(dataset_dir, song)
+            annotations = os.path.join(base, "annotations.txt")
+            song_cfg = replace(
+                cfg,
+                audio_path=os.path.join(base, "audio.wav"),
+                downbeats_path=os.path.join(base, "downbeats.txt"),
+                annotations_path=annotations if os.path.exists(annotations) else "",
+                output_dir=os.path.join(cfg.output_dir, song) if cfg.output_dir else "",
+            )
+            try:
+                outcomes[song] = run_song(song_cfg, song_id=song)
+            except Exception as exc:
+                outcomes[song] = f"{exc}\n{traceback.format_exc(limit=2)}"
+                if song_cfg.output_dir:
+                    # An earlier run's artifacts would read as this run's. One that
+                    # cannot be removed stays; aggregate.json still names the failure.
+                    for suffix in _ARTIFACTS:
+                        with contextlib.suppress(OSError):
+                            os.remove(os.path.join(song_cfg.output_dir, song + suffix))
+
+    with workers.helper() if len(song_dirs) >= 2 else contextlib.nullcontext() as pool:
+        helpers = [] if pool is None else [pool.submit(work)]
         try:
-            results.append(run_song(song_cfg, song_id=song))
-        except Exception as exc:
-            failures[song] = f"{exc}\n{traceback.format_exc(limit=2)}"
-            if song_cfg.output_dir:
-                # An earlier run's artifacts would read as this run's. One that
-                # cannot be removed stays; aggregate.json still names the failure.
-                for suffix in _ARTIFACTS:
-                    with contextlib.suppress(OSError):
-                        os.remove(os.path.join(song_cfg.output_dir, song + suffix))
+            work()
+        finally:
+            # A caller stopped early (an interrupt) leaves the helper no new song.
+            for _ in shared:
+                pass
+        for helper in helpers:
+            helper.result()
+    results = [outcomes[song] for song in song_dirs if isinstance(outcomes[song], SongResult)]
+    failures = {song: outcomes[song] for song in song_dirs if isinstance(outcomes[song], str)}
 
     aggregate = {"n_songs": len(song_dirs), "n_ok": len(results), "n_failed": len(failures)}
     per_tol = {}

@@ -1,10 +1,19 @@
 """How a call splits its work: into spans of items, run on one thread or two.
 
-`FeatureFrames.at` and `train_single_song` both read `worker_count`, so
-one rule decides whether either starts a helper thread.
+A process has one helper thread at most. `run_batch` (with two or more
+songs), `FeatureFrames.at` and `train_single_song` each take it through
+`helper`, which lends it to one holder at a time and only where
+`worker_count` allows a second worker. So one rule decides whether any
+of them starts a helper thread, and while a batch runs two songs at a
+time, neither the features nor the AE of a song start one of their own.
 """
 
+import contextlib
 import os
+import threading
+
+# Held while a `helper` block runs, so no two blocks in a process hold a helper thread.
+_helper_slot = threading.Lock()
 
 
 def spans(n, size):
@@ -26,6 +35,29 @@ def spans(n, size):
     return zip(starts, starts[1:] + [n])
 
 
+@contextlib.contextmanager
+def helper():
+    """Lend the process's one helper thread as a `ThreadPoolExecutor(1)`, or give None.
+
+    None comes when `worker_count` reads 1 or another block holds the
+    helper, whose caller then runs its work on the calling thread alone.
+    The pool starts its thread at the first `submit`, so a block that
+    submits nothing starts no thread, and leaving the block waits for the
+    thread to finish. `concurrent.futures` is imported here, so `import
+    barseg` stays lean.
+    """
+    if worker_count() < 2 or not _helper_slot.acquire(blocking=False):
+        yield None
+        return
+    try:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(1) as pool:
+            yield pool
+    finally:
+        _helper_slot.release()
+
+
 def worker_count():
     """Threads a call may run on: two if the process may use two CPUs per BLAS thread, else one.
 
@@ -34,8 +66,8 @@ def worker_count():
     two OpenBLAS threads, a helper made `FeatureFrames.at` 5-10% slower
     and AE training about 12% slower, where at one BLAS thread it made
     them 45% and 25% faster. A helper thread also keeps its own malloc
-    arena after the call, which adds to the process's peak RSS, so no
-    call starts a second helper.
+    arena after the call, which adds to the process's peak RSS, so a
+    process has one helper at most (`helper`).
     """
     try:
         cpus = len(os.sched_getaffinity(0))

@@ -356,3 +356,67 @@ class TestNMFMatchesColumnMajorReference:
         self.assert_matches(one_step, reference)
         model = lowrank.nmf_compress(X, 4, init_W=W0, init_H=H0)
         self.assert_matches(model, column_major_hals_reference(X, 4, init_W=W0, init_H=H0))
+
+
+def nmf_before_the_scratch_buffer(X, d_c, max_iters=500, tol=1e-8, seed=42):
+    """Reference: nmf_compress as it was before it shared one n x b scratch buffer.
+
+    It made ||X||^2 and the starting residual from four n x b temporaries,
+    kept W beside Wt, and allocated H @ X.T every iteration.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n, b = X.shape
+    rng = np.random.default_rng(seed)
+    W = rng.random((n, d_c))
+    H = rng.random((d_c, b))
+    norm_x_sq = float(np.sum(X * X))
+    R0 = X - W @ H
+    trace = [float(np.sum(R0 * R0))]
+    Wt = np.ascontiguousarray(W.T)
+    tmp_n, tmp_b = np.empty(n), np.empty(b)
+    for _ in range(max_iters):
+        lowrank._hals_rows(Wt, H @ H.T, H @ X.T, tmp_n)
+        WtW = Wt @ Wt.T
+        WtX = Wt @ X
+        lowrank._hals_rows(H, WtW, WtX, tmp_b)
+        cur = norm_x_sq - 2.0 * float(np.vdot(WtX, H)) + float(np.vdot(WtW, H @ H.T))
+        trace.append(max(cur, 0.0))
+        prev, cur = trace[-2], trace[-1]
+        if prev - cur < tol * max(prev, 1e-300):
+            break
+        if cur <= 1e-16 * max(norm_x_sq, 1e-300):
+            break
+    return Wt.T, H, np.array(trace)
+
+
+class TestNMFWorkingSet:
+    """One scratch buffer and one reused H @ X.T change no byte of W, H or the loss trace."""
+
+    @staticmethod
+    def bars(layout):
+        X = np.random.default_rng(23).random((7680, 64))
+        # The pipeline passes the transpose of a C-ordered b x n matrix.
+        return {"C": X[:, :32].copy(), "F": np.ascontiguousarray(X[:, :32].T).T, "strided": X[:, ::2]}[layout]
+
+    @pytest.mark.parametrize("layout, max_iters", [("C", 20), ("F", 20), ("strided", 20), ("F", 500)])
+    def test_same_bytes_as_before(self, one_blas_thread, layout, max_iters):
+        X = self.bars(layout)
+        model = lowrank.nmf_compress(X, 24, max_iters=max_iters, tol=0)
+        W, H, trace = nmf_before_the_scratch_buffer(X, 24, max_iters=max_iters, tol=0)
+        assert len(trace) == max_iters + 1
+        for got, expected in ((model.W, W), (model.H, H), (model.loss_trace, trace)):
+            assert got.tobytes() == expected.tobytes()
+
+    def test_peak_memory_is_one_buffer_beside_w(self):
+        import tracemalloc
+
+        X = self.bars("F")
+        (n, b), d_c = X.shape, 24
+        tracemalloc.start()
+        try:
+            lowrank.nmf_compress(X, d_c, max_iters=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 3.29 MiB here; the four n x b temporaries took it to 6.18 MiB.
+        assert peak < 1.1 * 8 * (n * b + n * d_c)

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from barseg import cli, features, matio, pipeline, synthetic
+from barseg import autoencoder, cli, features, matio, pipeline, synthetic, workers
 
 STRUCTURE = synthetic.DEFAULT_STRUCTURE
 EXPECTED_SECONDS = [0.0, 2.0, 4.0, 6.0, 8.0, 12.0, 16.0]
@@ -402,6 +404,165 @@ class TestRunBatch:
             pipeline.run_batch(str(tmp_path / "nope"), cfg)
 
 
+def batch_outputs(out):
+    """Every file under `out`: bytes, with each result JSON parsed and its timings dropped."""
+    files = {}
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name.endswith(".result.json"):
+                data = {**json.loads(data), "timings": None}
+            files[str(path.relative_to(out))] = data
+    return files
+
+
+def comparable(batch):
+    """run_batch's return value without the timings, which differ between runs."""
+    aggregate, results, failures = batch
+    return aggregate, [{**r.to_dict(), "timings": None} for r in results], list(failures.items())
+
+
+def pin_workers(monkeypatch, count):
+    monkeypatch.setattr(workers, "worker_count", lambda: count)
+
+
+def record_threads(monkeypatch):
+    """Wrap run_song and Thread.start; returns the threads that ran songs and the threads started."""
+    song_threads, started = set(), []
+    run_song, start = pipeline.run_song, threading.Thread.start
+
+    def recording_run_song(cfg, song_id=None):
+        song_threads.add(threading.current_thread())
+        return run_song(cfg, song_id)
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(pipeline, "run_song", recording_run_song)
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return song_threads, started
+
+
+class TestTwoWorkerBatch:
+    """A batch run two songs at a time matches the same batch run one song at a time.
+
+    The helper thread needs two CPUs per BLAS thread, so `worker_count`
+    is pinned; one BLAS thread keeps every GEMM's bytes those of the
+    serial run while two songs call BLAS at once.
+    """
+
+    def run_both(self, monkeypatch, data, out, **overrides):
+        """Run the batch on two workers, then on one, into `out`; returns each run's outputs."""
+        runs = {}
+        for count in (2, 1):
+            pin_workers(monkeypatch, count)
+            cfg = make_config(data / "song_a", out, **overrides)
+            runs[count] = comparable(pipeline.run_batch(str(data), cfg)), batch_outputs(out)
+        return runs
+
+    @pytest.mark.parametrize("compressor", ["pca", "nmf"])
+    def test_every_output_matches_one_worker(self, one_blas_thread, dataset, tmp_path, monkeypatch, compressor):
+        song_threads, started = record_threads(monkeypatch)
+        before = threading.active_count()
+        runs = self.run_both(monkeypatch, dataset, tmp_path / "out", compressor=compressor, d_c=4)
+        assert runs[2] == runs[1]
+        assert sorted(runs[2][1]) == ["aggregate.csv", "aggregate.json"] + [
+            f"{song}/{song}{suffix}" for song in ("song_a", "song_b", "song_c")
+            for suffix in (".autosim.pgm", ".boundaries.txt", ".result.json")]
+        assert len(song_threads) == 2  # the two-worker run split its songs
+        assert len(started) == 1 and threading.active_count() == before
+
+    def test_failing_middle_song_fails_alone(self, one_blas_thread, dataset, tmp_path, monkeypatch):
+        import shutil
+
+        data, out = tmp_path / "data", tmp_path / "out"
+        shutil.copytree(dataset, data)
+        pin_workers(monkeypatch, 1)
+        pipeline.run_batch(str(data), make_config(data / "song_a", out, d_c=4))
+        assert (out / "song_b" / "song_b.result.json").exists()
+        wav = data / "song_b" / "audio.wav"
+        wav.write_bytes(wav.read_bytes()[:-1000])
+        runs = self.run_both(monkeypatch, data, out, d_c=4)
+        assert runs[2] == runs[1]
+        (aggregate, results, failures), files = runs[2]
+        assert [song for song, _ in failures] == ["song_b"] and aggregate["n_failed"] == 1
+        assert [r["song_id"] for r in results] == ["song_a", "song_c"]
+        assert not any(name.startswith("song_b") for name in files)
+
+    def test_song_steps_start_no_thread_of_their_own(self, one_blas_thread, dataset, tmp_path, monkeypatch):
+        # The AE overlaps its loss pass from the first epoch, and every song
+        # has 12 feature chunks, so with the helper free both would use it.
+        song_threads, started = record_threads(monkeypatch)
+        alive = []
+        at, train = features.FeatureFrames.at, autoencoder.train_single_song
+
+        def counting(fn):
+            def counted(*args, **kwargs):
+                alive.append(threading.active_count())
+                out = fn(*args, **kwargs)
+                alive.append(threading.active_count())
+                return out
+            return counted
+
+        monkeypatch.setattr(features.FeatureFrames, "at", counting(at))
+        monkeypatch.setattr(autoencoder, "train_single_song", counting(train))
+        pin_workers(monkeypatch, 2)
+        before = threading.active_count()
+        cfg = make_config(dataset / "song_a", tmp_path / "out", compressor="ae", d_c=4, ae_max_epochs=3)
+        _, results, failures = pipeline.run_batch(str(dataset), cfg)
+        assert not failures and len(results) == 3
+        assert len(started) == 1 and len(song_threads) == 2
+        assert len(alive) == 12 and max(alive) <= before + 1
+        assert threading.active_count() == before
+
+    def test_one_song_leaves_the_helper_to_its_features(self, short_song_dir, tmp_path, monkeypatch):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(short_song_dir, data / "only")
+        feature_threads = set()
+        fill_power = features._fill_power
+
+        def recording_fill_power(*args):
+            feature_threads.add(threading.current_thread())
+            return fill_power(*args)
+
+        _, started = record_threads(monkeypatch)
+        monkeypatch.setattr(features, "_fill_power", recording_fill_power)
+        pin_workers(monkeypatch, 2)
+        before = threading.active_count()
+        cfg = make_config(data / "only", tmp_path / "out", compressor="none")
+        _, results, failures = pipeline.run_batch(str(data), cfg)
+        assert not failures and len(results) == 1
+        assert len(started) == 1 and len(feature_threads) == 2
+        assert threading.active_count() == before
+
+    def test_interrupted_caller_leaves_the_helper_no_new_song(self, dataset, tmp_path, monkeypatch):
+        songs = []
+        caller = threading.current_thread()
+        helper_has_a_song, caller_stopped = threading.Event(), threading.Event()
+
+        def run_song(cfg, song_id=None):
+            songs.append(song_id)
+            if threading.current_thread() is caller:
+                helper_has_a_song.wait(timeout=30)
+                caller_stopped.set()
+                raise KeyboardInterrupt
+            helper_has_a_song.set()
+            caller_stopped.wait(timeout=30)
+            time.sleep(0.2)  # the caller's interrupt passes through run_batch's cleanup meanwhile
+            return None
+
+        monkeypatch.setattr(pipeline, "run_song", run_song)
+        pin_workers(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.run_batch(str(dataset), make_config(dataset / "song_a", tmp_path / "out"))
+        assert sorted(songs) == ["song_a", "song_b"]
+        assert threading.active_count() == before
+
+
 class TestCli:
     def test_features_subcommand(self, short_song_dir, tmp_path, capsys):
         rc = cli.main([
@@ -491,6 +652,7 @@ class TestCli:
         ])
         assert rc == 0
         out = capsys.readouterr().out
+        assert out.startswith("audio: boundaries (bars) [0, ")
         assert "F=1.000" in out
         assert (tmp_path / "audio.result.json").exists()
 
@@ -525,13 +687,20 @@ class TestCli:
         rc = cli.main([
             "segment", str(song_dir / "audio.wav"),
             "--downbeats", str(song_dir / "downbeats.txt"),
+            "--annotations", str(song_dir / "annotations.txt"),
             "--compressor", "pca", "--dc-sweep", "2,4", "--feature", "nnlms",
             "--out", str(tmp_path),
         ])
         assert rc == 0
+        # Each run's heading names its output subdirectory; its scores are indented under it.
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": ")[0] for line in lines] == [
+            "dc2/audio", "  tol 0.5s", "  tol 3s", "dc4/audio", "  tol 0.5s", "  tol 3s"]
         for d_c in (2, 4):
             loaded = json.loads((tmp_path / f"dc{d_c}" / "audio.result.json").read_text())
             assert loaded["config"]["d_c"] == d_c
+            bars = ", ".join(str(b) for b in loaded["boundaries_bars"])
+            assert f"dc{d_c}/audio: boundaries (bars) [{bars}]" in lines
 
     def test_config_file_with_flag_override(self, song_dir, tmp_path, capsys):
         config = tmp_path / "run.cfg"

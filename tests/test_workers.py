@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from barseg import workers
@@ -36,3 +38,36 @@ def test_a_helper_thread_needs_a_cpu_beside_blas(monkeypatch, cpus, env, expecte
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     assert workers.worker_count() == expected
+
+
+def test_one_helper_per_process(monkeypatch):
+    monkeypatch.setattr(workers, "worker_count", lambda: 2)
+    with workers.helper() as pool:
+        assert pool is not None
+        with workers.helper() as inner:
+            assert inner is None  # the slot is held
+        assert pool.submit(threading.current_thread).result() is not threading.current_thread()
+    with workers.helper() as pool:
+        assert pool is not None  # leaving the block released the slot
+    monkeypatch.setattr(workers, "worker_count", lambda: 1)
+    with workers.helper() as pool:
+        assert pool is None
+
+
+def test_a_helper_block_that_submits_nothing_starts_no_thread(monkeypatch):
+    def no_thread(thread):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(workers, "worker_count", lambda: 2)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    with workers.helper() as pool:
+        assert pool is not None
+
+
+def test_a_failing_block_releases_the_helper(monkeypatch):
+    monkeypatch.setattr(workers, "worker_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="block failed"):
+        with workers.helper():
+            raise RuntimeError("block failed")
+    with workers.helper() as pool:
+        assert pool is not None
