@@ -34,8 +34,8 @@ training, `train_single_song` hands the pass to one helper thread and
 trains epoch e + 1 meanwhile; otherwise the pass runs before epoch
 e + 1. So nothing is rolled back or redone, and the losses, parameters
 and errors are the serial loop's. As in `FeatureFrames.at`, the helper
-thread is the process's one (`workers.helper`): a process without two
-CPUs per BLAS thread, or a song of a two-worker batch, starts no
+thread is the process's one (`workers.helper`): where `workers` allows
+no second worker, or in a song of a two-worker batch, it starts no
 thread. The helper's exception propagates, and no thread outlives the
 call.
 """

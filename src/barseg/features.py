@@ -22,9 +22,9 @@ its float samples for NaN and infinity, 65,536 frames at a time.
 samples to feature before its worker takes the next. Two workers, the
 calling thread and the process's helper thread (`workers.helper`), draw
 chunks from one shared list and write disjoint column slices of the
-output. A call of one chunk, a process without two CPUs per BLAS thread,
-or a call made while another holds the helper (a song of a two-worker
-batch) runs on the calling thread alone.
+output. A call of one chunk, a call that `workers.worker_count` gives
+one worker, or a call made while another holds the helper (a song of a
+two-worker batch) runs on the calling thread alone.
 The threads pay because each step is a NumPy call on thousands of
 values, which releases the GIL. Within a chunk, the frames go 16 at a
 time: gather their stored samples, decode them as (stored - offset) /
@@ -447,7 +447,11 @@ def mfcc_from_log_mel(log_mel_values, n_coeffs=N_MFCC):
     return dct @ log_mel_values
 
 
+@workers.one_blas_thread()
 def compute_feature(signal, kind, n_fft=DEFAULT_N_FFT, hop=DEFAULT_HOP):
-    """One of the five named features (or the power STFT) at every frame, as an f x T array."""
+    """One of the five named features (or the power STFT) at every frame, as an f x T array.
+
+    It runs at one BLAS thread (`workers.one_blas_thread`).
+    """
     feature = FeatureFrames(signal, kind, n_fft=n_fft, hop=hop)
     return feature.at(np.arange(feature.n_frames))

@@ -73,7 +73,8 @@ def nmf_compress(X, d_c, max_iters=500, tol=1e-8, seed=42, init_W=None, init_H=N
     H) is updated by an exact nonnegative least-squares step, so the loss
     never increases. The loss is recorded once per outer iteration,
     starting with the initial factors; iteration stops at `max_iters` or
-    when the relative loss decrease falls below `tol`.
+    when the relative loss decrease falls below `tol`. An all-zero X, such
+    as the NNLMS of digital silence, gives W = 0 and H = 0.
     """
     X = np.asarray(X, dtype=np.float64)
     n, b = X.shape
@@ -86,6 +87,10 @@ def nmf_compress(X, d_c, max_iters=500, tol=1e-8, seed=42, init_W=None, init_H=N
     H = rng.random((d_c, b)) if init_H is None else np.array(init_H, dtype=np.float64)
     if np.any(W < 0) or np.any(H < 0):
         raise ValueError("initial factors must be nonnegative")
+    if not X.any():
+        # HALS would leave H at its random start: the first W sweep takes W to about 1e-16.
+        return LowRankModel(kind="nmf", W=np.zeros((n, d_c)), H=np.zeros((d_c, b)), mu=np.zeros(n),
+                            loss_trace=np.array([0.0]))
 
     # One n x b scratch buffer gives ||X||^2 and the starting residual. X * X
     # takes X's memory order and X - W @ H the C order of W @ H, and each sum

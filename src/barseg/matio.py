@@ -39,7 +39,7 @@ def write_bseg(path, matrix):
     with open(path, "wb") as fh:
         fh.write(BSEG_MAGIC)
         fh.write(struct.pack("<II", m.shape[0], m.shape[1]))
-        fh.write(m.astype("<f8").tobytes())
+        fh.write(m.astype("<f8", copy=False))  # through its buffer: no copy on a little-endian host
 
 
 def read_bseg(path):

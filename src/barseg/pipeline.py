@@ -126,8 +126,9 @@ def _stage(name, timings=None):
         timings[name] = time.perf_counter() - t0
 
 
+@workers.one_blas_thread()
 def run_song(cfg, song_id=None):
-    """Execute the full pipeline for one song and write its artifacts."""
+    """Execute the full pipeline for one song and write its artifacts, at one BLAS thread."""
     song_id = song_id or os.path.splitext(os.path.basename(cfg.audio_path))[0]
     timings = {}
     with _stage("load", timings):
@@ -193,17 +194,18 @@ def _boundary_text(boundary_seconds):
     return "".join(f"{s:.17g}\t{e:.17g}\n" for s, e in zip(boundary_seconds[:-1], boundary_seconds[1:]))
 
 
+@workers.one_blas_thread()
 def run_batch(dataset_dir, cfg):
-    """Run every <dataset_dir>/<song>/ directory through the pipeline.
+    """Run every <dataset_dir>/<song>/ directory through the pipeline, at one BLAS thread.
 
     Songs share no model or data, so a batch of two or more runs them two
-    at a time when `workers.helper` lends the helper thread (the process
-    may use two CPUs per BLAS thread): the calling thread and the helper
-    take songs in sorted order from one shared iterator. A song then runs
-    its features and AE on its own thread alone. A one-song batch leaves
-    the helper to those steps. Per-song failures are recorded and the
-    batch continues. Returns (aggregate dict, results list, failures
-    dict), in sorted song order whichever thread ran each song.
+    at a time when `workers.helper` lends the helper thread (see
+    `workers`): the calling thread and the helper take songs in sorted
+    order from one shared iterator. A song then runs its features and AE
+    on its own thread alone. A one-song batch leaves the helper to those
+    steps. Per-song failures are recorded and the batch continues.
+    Returns (aggregate dict, results list, failures dict), in sorted song
+    order whichever thread ran each song.
     """
     if not os.path.isdir(dataset_dir):
         raise ValueError(f"dataset directory not found: {dataset_dir}")

@@ -1,19 +1,28 @@
-"""How a call splits its work: into spans of items, run on one thread or two.
+"""How a call splits its work, and the one thread configuration it runs in.
 
 A process has one helper thread at most. `run_batch` (with two or more
 songs), `FeatureFrames.at` and `train_single_song` each take it through
 `helper`, which lends it to one holder at a time and only where
-`worker_count` allows a second worker. So one rule decides whether any
-of them starts a helper thread, and while a batch runs two songs at a
-time, neither the features nor the AE of a song start one of their own.
+`worker_count` allows a second worker: two CPUs per OpenBLAS thread. So
+one rule decides whether any of them starts a helper thread, and while
+a batch runs two songs at a time, neither the features nor the AE of a
+song start one of their own. `run_song`, `run_batch` and
+`compute_feature` run inside `one_blas_thread`, so a process with two
+CPUs runs them on two workers at one BLAS thread whatever the
+environment sets, with the same bytes.
 """
 
 import contextlib
+import functools
 import os
 import threading
 
 # Held while a `helper` block runs, so no two blocks in a process hold a helper thread.
 _helper_slot = threading.Lock()
+# Guards the holders of `one_blas_thread` and the count the last of them restores.
+_hold = threading.Lock()
+_holders = 0
+_restore = None
 
 
 def spans(n, size):
@@ -59,35 +68,82 @@ def helper():
 
 
 def worker_count():
-    """Threads a call may run on: two if the process may use two CPUs per BLAS thread, else one.
+    """Threads a call may run on: two if the process has two CPUs per OpenBLAS thread, else one.
 
-    Both workers run GEMMs, and a BLAS that may already use every CPU
-    leaves no core for a helper thread: on a 2-CPU host at the default of
-    two OpenBLAS threads, a helper made `FeatureFrames.at` 5-10% slower
-    and AE training about 12% slower, where at one BLAS thread it made
-    them 45% and 25% faster. A helper thread also keeps its own malloc
-    arena after the call, which adds to the process's peak RSS, so a
-    process has one helper at most (`helper`).
+    The count is OpenBLAS's own, read when asked, so inside
+    `one_blas_thread` two CPUs give two workers whatever the environment
+    said. Where no OpenBLAS is found, one. Both workers run GEMMs, and a
+    BLAS that may already use every CPU leaves no core for a helper
+    thread: on a 2-CPU host at two OpenBLAS threads, a helper made
+    `FeatureFrames.at` 5-10% slower and AE training about 12% slower,
+    where at one BLAS thread it made them 45% and 25% faster. A helper
+    thread also keeps its own malloc arena after the call, which adds to
+    the process's peak RSS, so a process has one helper at most (`helper`).
     """
+    blas = _openblas()
+    if blas is None:
+        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity outside Linux
         cpus = os.cpu_count() or 1
-    return 2 if cpus >= 2 * _blas_threads(cpus) else 1
+    get, _ = blas
+    return 2 if cpus >= 2 * get() else 1
 
 
-def _blas_threads(cpus):
-    """Threads NumPy's OpenBLAS runs a GEMM on, as OpenBLAS reads them when loaded.
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold NumPy's OpenBLAS at one thread for the block; where none is found, do nothing.
 
-    That is the first positive count of OPENBLAS_NUM_THREADS,
-    GOTO_NUM_THREADS and OMP_NUM_THREADS, at most `cpus`; with none set,
-    one thread per CPU.
+    The count is process-wide, so while any block holds it every thread's
+    GEMMs run on one BLAS thread. The first holder sets it, and the last
+    to leave restores the count it found, so blocks nest and threads may
+    hold it at once. `run_song`, `run_batch` and `compute_feature` hold it
+    before they ask for the helper, so no barseg helper thread runs while
+    the count changes, and their bytes and speed do not depend on the
+    environment's BLAS setting.
     """
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            count = int(os.environ.get(name, "").split(",")[0])
-        except ValueError:
-            continue
-        if count > 0:
-            return min(count, cpus)
-    return cpus
+    global _holders, _restore
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _hold:
+        if _holders == 0:
+            _restore = get()
+            put(1)
+        _holders += 1
+    try:
+        yield
+    finally:
+        with _hold:
+            _holders -= 1
+            if _holders == 0:
+                put(_restore)
+
+
+@functools.cache
+def _openblas():
+    """(get, set) for the thread count of NumPy's OpenBLAS, or None if none is loaded.
+
+    Found once, at the first call, in the libraries this process has
+    mapped, so `import barseg` neither reads the map nor loads ctypes.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
+    except OSError:
+        return None
+    for lib in sorted(libs):
+        dll = ctypes.CDLL(lib)
+        for suffix in ("64_", ""):
+            get = getattr(dll, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(dll, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype = ctypes.c_int
+                put.argtypes = [ctypes.c_int]
+                return get, put
+    return None

@@ -1,6 +1,8 @@
 import json
 import os
+import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from barseg import matio
+from barseg import features, matio
 
 
 def round_trip(write, read, matrix, name):
@@ -35,6 +37,25 @@ class TestBseg:
         assert int.from_bytes(raw[4:8], "little") == 2
         assert int.from_bytes(raw[8:12], "little") == 3
         assert len(raw) == 12 + 2 * 3 * 8
+
+    def test_write_copies_no_matrix(self, tmp_path):
+        m = np.random.default_rng(1).random((80, 20000))
+        tracemalloc.start()
+        try:
+            matio.write_bseg(tmp_path / "m.bseg", m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m.nbytes / 16
+        assert matio.read_bseg(tmp_path / "m.bseg").tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("kind", ["chroma", "mel", "lms", "nnlms", "mfcc"])
+    def test_feature_bytes_are_the_header_and_the_values(self, tmp_path, kind):
+        sig = features.AudioSignal(np.random.default_rng(2).uniform(-1, 1, 22050), 44100)
+        values = features.compute_feature(sig, kind)
+        matio.write_bseg(tmp_path / "m.bseg", values)
+        expected = b"BSEG" + struct.pack("<II", *values.shape) + values.astype("<f8").tobytes()
+        assert (tmp_path / "m.bseg").read_bytes() == expected
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.bseg"

@@ -214,7 +214,7 @@ class TestRunSong:
 
 
 class TestDegenerateInput:
-    @pytest.mark.parametrize("compressor", ["pca", "none"])
+    @pytest.mark.parametrize("compressor", ["pca", "nmf", "none"])
     def test_silent_song_is_one_segment(self, silent_song_dir, tmp_path, compressor):
         cfg = make_config(silent_song_dir, tmp_path, compressor=compressor)
         with pytest.warns(UserWarning, match=r"c_k8_max=0\.0 is not positive"):
@@ -448,8 +448,8 @@ class TestTwoWorkerBatch:
     """A batch run two songs at a time matches the same batch run one song at a time.
 
     The helper thread needs two CPUs per BLAS thread, so `worker_count`
-    is pinned; one BLAS thread keeps every GEMM's bytes those of the
-    serial run while two songs call BLAS at once.
+    is pinned. `run_batch` holds one BLAS thread, which keeps every GEMM's
+    bytes those of the serial run while two songs call BLAS at once.
     """
 
     def run_both(self, monkeypatch, data, out, **overrides):
@@ -462,7 +462,7 @@ class TestTwoWorkerBatch:
         return runs
 
     @pytest.mark.parametrize("compressor", ["pca", "nmf"])
-    def test_every_output_matches_one_worker(self, one_blas_thread, dataset, tmp_path, monkeypatch, compressor):
+    def test_every_output_matches_one_worker(self, dataset, tmp_path, monkeypatch, compressor):
         song_threads, started = record_threads(monkeypatch)
         before = threading.active_count()
         runs = self.run_both(monkeypatch, dataset, tmp_path / "out", compressor=compressor, d_c=4)
@@ -473,7 +473,7 @@ class TestTwoWorkerBatch:
         assert len(song_threads) == 2  # the two-worker run split its songs
         assert len(started) == 1 and threading.active_count() == before
 
-    def test_failing_middle_song_fails_alone(self, one_blas_thread, dataset, tmp_path, monkeypatch):
+    def test_failing_middle_song_fails_alone(self, dataset, tmp_path, monkeypatch):
         import shutil
 
         data, out = tmp_path / "data", tmp_path / "out"
@@ -490,7 +490,7 @@ class TestTwoWorkerBatch:
         assert [r["song_id"] for r in results] == ["song_a", "song_c"]
         assert not any(name.startswith("song_b") for name in files)
 
-    def test_song_steps_start_no_thread_of_their_own(self, one_blas_thread, dataset, tmp_path, monkeypatch):
+    def test_song_steps_start_no_thread_of_their_own(self, dataset, tmp_path, monkeypatch):
         # The AE overlaps its loss pass from the first epoch, and every song
         # has 12 feature chunks, so with the helper free both would use it.
         song_threads, started = record_threads(monkeypatch)
@@ -561,6 +561,64 @@ class TestTwoWorkerBatch:
             pipeline.run_batch(str(dataset), make_config(dataset / "song_a", tmp_path / "out"))
         assert sorted(songs) == ["song_a", "song_b"]
         assert threading.active_count() == before
+
+
+class TestOneBlasThread:
+    """`run_song`, `run_batch` and `compute_feature` run at one BLAS thread whatever the caller set."""
+
+    def outputs(self, result, out):
+        files = {p.name: p.read_bytes() for p in out.iterdir() if not p.name.endswith(".result.json")}
+        return {**result.to_dict(), "timings": None}, files
+
+    def test_run_song_bytes_do_not_depend_on_the_callers_count(self, song_dir, tmp_path, set_blas_threads):
+        # NMF's total_score differs in its last bits at two BLAS threads.
+        runs = {}
+        for threads in (1, 2):
+            set_blas_threads(threads)
+            result = pipeline.run_song(make_config(song_dir, tmp_path, compressor="nmf"))
+            runs[threads] = self.outputs(result, tmp_path)
+        assert runs[2] == runs[1]
+
+    def test_compute_feature_bytes_do_not_depend_on_the_callers_count(self, song_dir, set_blas_threads):
+        signal = features.load_wav(str(song_dir / "audio.wav"))
+        values = {}
+        for threads in (1, 2):
+            set_blas_threads(threads)
+            values[threads] = features.compute_feature(signal, "nnlms").tobytes()
+        assert values[2] == values[1]
+
+    def test_the_callers_count_comes_back(self, short_song_dir, dataset, tmp_path, monkeypatch, set_blas_threads):
+        get, _ = workers._openblas()
+        set_blas_threads(2)
+        seen = []
+        compress, at = pipeline._compress, features.FeatureFrames.at
+
+        def recording(fn):
+            def recorded(*args, **kwargs):
+                seen.append(get())
+                return fn(*args, **kwargs)
+            return recorded
+
+        monkeypatch.setattr(pipeline, "_compress", recording(compress))
+        monkeypatch.setattr(features.FeatureFrames, "at", recording(at))
+        pipeline.run_song(make_config(short_song_dir, tmp_path / "song", compressor="none"))
+        assert seen == [1, 1] and get() == 2
+        pipeline.run_batch(str(dataset), make_config(dataset / "song_a", tmp_path / "batch", compressor="none"))
+        assert seen[2:] == [1] * 6 and get() == 2
+        features.compute_feature(features.load_wav(str(short_song_dir / "audio.wav")), "chroma")
+        assert seen[8:] == [1] and get() == 2
+
+        def failing(*args):
+            seen.append(get())
+            raise RuntimeError("compression failed")
+
+        monkeypatch.setattr(pipeline, "_compress", failing)
+        with pytest.raises(pipeline.StageError, match="compression failed"):
+            pipeline.run_song(make_config(short_song_dir, tmp_path / "failed"))
+        assert seen[9:] == [1, 1] and get() == 2
+        with pytest.raises(ValueError, match="unknown feature"):
+            features.compute_feature(features.load_wav(str(short_song_dir / "audio.wav")), "bogus")
+        assert get() == 2
 
 
 class TestCli:
