@@ -135,17 +135,24 @@ def load_wav(path):
 _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
 
 
-def _read_exactly(fh, n):
+def _read_exactly(fh, n, array=False):
     """The next n bytes of fh. A size past the file's end raises before any buffer is made.
 
-    The buffer is a bytearray, which the signal's stored samples view;
-    `.samples` copies them out.
+    Header chunks are read as `bytes`. The data payload (`array=True`)
+    is read into an uninitialized uint8 array, which the signal's stored
+    samples view; a zero-filled buffer would write every page of a
+    payload that the read then overwrites. `.samples` copies them out.
     """
     short = n - (os.fstat(fh.fileno()).st_size - fh.tell())
     if short > 0:
         raise ValueError(f"file ends {short} bytes early")
-    buf = bytearray(n)
-    if fh.readinto(buf) != n:
+    if array:
+        buf = np.empty(n, np.uint8)
+        got = fh.readinto(buf)
+    else:
+        buf = fh.read(n)
+        got = len(buf)
+    if got != n:
         raise ValueError("file shrank while being read")
     return buf
 
@@ -199,9 +206,9 @@ def _read_wav(fh):
         raise ValueError(f"unsupported sample format (format tag {tag}, {bits} bits in {width} bytes)")
     if size % block_align:
         raise ValueError(f"data chunk of {size} bytes holds a partial {block_align}-byte frame")
-    payload = _read_exactly(fh, size)
+    payload = _read_exactly(fh, size, array=True)
     if width == 3:
-        triples = np.frombuffer(payload, np.uint8).reshape(-1, 3)
+        triples = payload.reshape(-1, 3)
         wide = np.zeros((len(triples), 4), np.uint8)
         (wide[:, 1:] if order == "<" else wide[:, :3])[...] = triples
         payload, dtype = wide, f"{order}i4"

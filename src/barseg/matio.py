@@ -52,8 +52,12 @@ def read_bseg(path):
         if len(header) != 8:
             raise ValueError(f"{path}: truncated BSEG header")
         rows, cols = struct.unpack("<II", header)
-        data = fh.read(rows * cols * 8)
-        if len(data) != rows * cols * 8:
+        # Checked against the bytes left before any read, so a corrupt header cannot ask for gigabytes.
+        size = rows * cols * 8
+        if size > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise ValueError(f"{path}: truncated BSEG payload")
+        data = fh.read(size)
+        if len(data) != size:
             raise ValueError(f"{path}: truncated BSEG payload")
     return np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
 

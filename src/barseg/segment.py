@@ -7,6 +7,13 @@ the highest size-8 window cost and penalized by a musical segment-size
 prior (8 bars free, 4 bars cheap, even sizes mild, odd sizes expensive);
 dynamic programming then picks the boundary set with the maximal total
 score.
+
+`dp_segment` scores all segments of one size n in one array pass: the
+b - n + 1 diagonal n x n windows of A, as a strided view, times the
+kernel, summed per window. Each window's sum adds its terms in the order
+`np.sum` uses for the single block, so every score has the bits of
+`segment_score`. The scores fill a band of b + 1 ends by max_segment
+sizes, and each end's best predecessor is one vector max over its row.
 """
 
 import warnings
@@ -14,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_MAX_SEGMENT = 32
 
@@ -23,6 +31,9 @@ DEFAULT_MAX_SEGMENT = 32
 # dissimilar 4-bar halves) must lose to the split. Plain 1/n fails the
 # second requirement whenever cross-similarities are nonnegative.
 COST_NORM_EXPONENT = 1.5
+# Values per product of windows and kernel in `_window_costs`: 8 MB of
+# float64, which 900 bars at the default 32-bar segments fit in one pass.
+_WINDOW_VALUES = 1 << 20
 
 
 @dataclass
@@ -94,22 +105,36 @@ def penalty(n):
     return 1.0
 
 
+def _size_norm(n):
+    """n**COST_NORM_EXPONENT from a Python int: NumPy's int64 power rounds some sizes differently."""
+    return int(n) ** COST_NORM_EXPONENT
+
+
+def _window_costs(A, n):
+    """Costs of the segments [t, t + n) of A, for t = 0 ... b - n, as one array.
+
+    Each window's kernel product is C-contiguous, so its sum adds the
+    terms in the order `np.sum` uses for the single n x n block.
+    """
+    windows = np.moveaxis(sliding_window_view(A, (n, n)).diagonal(), -1, 0)
+    step = max(1, _WINDOW_VALUES // (n * n))
+    raw = np.concatenate([(kernel(n) * windows[t:t + step]).sum(axis=(1, 2))
+                          for t in range(0, len(windows), step)])
+    return raw / _size_norm(n)
+
+
 def segment_cost(A, b_start, b_end):
     """Kernel-weighted similarity of the segment [b_start, b_end), normalized by size."""
     b = A.shape[0]
     if not (0 <= b_start < b_end <= b):
         raise ValueError(f"segment [{b_start}, {b_end}) out of range for {b} bars")
-    n = b_end - b_start
-    block = A[b_start:b_end, b_start:b_end]
-    raw = float(np.sum(kernel(n) * block))
-    return raw / n**COST_NORM_EXPONENT
+    return float(_window_costs(A[b_start:b_end, b_start:b_end], int(b_end - b_start))[0])
 
 
 def compute_ck8max(A):
     """Highest cost over all size-8 windows (or size-b windows if b < 8)."""
-    b = A.shape[0]
-    size = min(8, b)
-    return max(segment_cost(A, t, t + size) for t in range(b - size + 1))
+    size = min(8, A.shape[0])
+    return max(_window_costs(A, size).tolist())
 
 
 def segment_score(A, b_start, b_end, c_k8_max):
@@ -151,15 +176,20 @@ def dp_segment(A, max_segment=DEFAULT_MAX_SEGMENT):
     if c_k8_max <= 0:
         warnings.warn(f"degenerate autosimilarity: c_k8_max={c_k8_max} is not positive; one segment", stacklevel=2)
         return Segmentation(np.array([0, b]), total_score=0.0)
-    best = np.full(b + 1, -np.inf)
-    best[0] = 0.0
+    # band[i, n - 1] is the score of the segment [i - n, i), -inf where n > i.
+    sizes = min(max_segment, b)
+    band = np.full((b + 1, sizes), -np.inf)
+    for n in range(1, sizes + 1):
+        band[n:, n - 1] = _window_costs(A, n) / c_k8_max - penalty(n)
+    best = np.zeros(b + 1)
     prev = np.zeros(b + 1, dtype=np.int64)
     for i in range(1, b + 1):
-        for j in range(max(0, i - max_segment), i):
-            cand = best[j] + segment_score(A, j, i, c_k8_max)
-            if cand >= best[i]:
-                best[i] = cand
-                prev[i] = j
+        # cands[n - 1] = best(i - n) + score(i - n, i); argmax takes the first
+        # maximum, which is the shortest last segment (the largest j).
+        k = min(sizes, i)
+        cands = best[i - 1::-1][:k] + band[i, :k]
+        n = int(np.argmax(cands))
+        best[i], prev[i] = cands[n], i - 1 - n
     boundaries = [b]
     while boundaries[-1] != 0:
         boundaries.append(int(prev[boundaries[-1]]))

@@ -70,6 +70,21 @@ class TestBseg:
         with pytest.raises(ValueError, match="truncated"):
             matio.read_bseg(path)
 
+    @pytest.mark.parametrize("side", [0xFFFFFFFF, 40000])
+    def test_header_larger_than_the_file_rejected_before_reading(self, tmp_path, side):
+        # A 76-byte file whose header declares side x side values.
+        path = tmp_path / "m.bseg"
+        path.write_bytes(b"BSEG" + struct.pack("<II", side, side) + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as excinfo:
+                matio.read_bseg(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(excinfo.value) == f"{path}: truncated BSEG payload"
+        assert peak < 1 << 20
+
     @settings(derandomize=True, deadline=None)
     @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
                   elements=st.floats(width=64) | st.sampled_from([0.0, -0.0, 1e308, -1e308])))

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from barseg import segment
 
-from dp_oracle import enumerate_best_score
+from dp_oracle import enumerate_best_score, loop_dp_segment, loop_segment_cost
 
 
 def brute_force_best(A, max_segment=32):
@@ -199,6 +200,20 @@ class TestSegmentCost:
         with pytest.raises(ValueError):
             segment.segment_cost(A, 3, 3)
 
+    @pytest.mark.parametrize("n", [7, 28])
+    def test_numpy_and_python_int_indices_give_the_same_bits(self, n):
+        # NumPy's int64 ** 1.5 and Python's int ** 1.5 differ in the last bit at these sizes.
+        A = random_autosimilarity(np.random.default_rng(n), 30)
+        python_int = segment.segment_cost(A, 0, n)
+        numpy_int = segment.segment_cost(A, np.int64(0), np.int64(n))
+        assert numpy_int.hex() == python_int.hex() == loop_segment_cost(A, 0, n).hex()
+
+    def test_every_window_matches_the_single_block_sum(self):
+        A = np.round(random_autosimilarity(np.random.default_rng(3), 40), 2)
+        for n in range(1, 41):
+            for t in range(0, 41 - n, 5):
+                assert segment.segment_cost(A, t, t + n).hex() == loop_segment_cost(A, t, t + n).hex(), (t, n)
+
 
 class TestCk8Max:
     def test_uniform_matrix(self):
@@ -225,6 +240,14 @@ class TestCk8Max:
         A = np.ones((5, 5))
         assert segment.compute_ck8max(A) == pytest.approx(segment.segment_cost(A, 0, 5))
 
+    @pytest.mark.parametrize("b", [1, 3, 7, 8, 9, 33])
+    def test_equals_the_max_over_segment_cost_windows(self, b):
+        A = random_autosimilarity(np.random.default_rng(b), b)
+        size = min(8, b)
+        windows = [segment.segment_cost(A, t, t + size) for t in range(b - size + 1)]
+        assert segment.compute_ck8max(A).hex() == max(windows).hex()
+        assert max(windows).hex() == max(loop_segment_cost(A, t, t + size) for t in range(b - size + 1)).hex()
+
 
 class TestSegmentScore:
     def test_normalization_fixed_point(self):
@@ -240,6 +263,60 @@ class TestSegmentScore:
         A = np.eye(8)
         with pytest.raises(ValueError):
             segment.segment_score(A, 0, 4, 0.0)
+
+
+def _alternating(b):
+    """Bars at cosine -1 to their neighbours, so every window's cost, and c_k8_max, is negative."""
+    signs = (-1.0) ** np.arange(b)
+    return np.outer(signs, signs)
+
+
+class TestDpMatchesLoop:
+    """`dp_segment` gives the boundaries and total_score bits of the per-segment double loop."""
+
+    @staticmethod
+    def assert_same(A, max_segment=segment.DEFAULT_MAX_SEGMENT):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            seg = segment.dp_segment(A, max_segment)
+        bounds, score = loop_dp_segment(A, max_segment)
+        assert seg.boundaries_bars.tolist() == bounds
+        assert seg.total_score.hex() == score.hex()
+
+    @pytest.mark.parametrize("b, max_segment, rounded", [
+        (40, 32, False), (60, 32, True), (1, 32, False), (2, 32, False), (5, 32, True), (7, 32, False),
+        (24, 1, False), (20, 50, True), (29, 28, False), (64, 40, True), (150, 100, False),
+    ])
+    def test_random(self, b, max_segment, rounded):
+        A = random_autosimilarity(np.random.default_rng(b * 1000 + max_segment), b)
+        # Rounding to two decimals makes many candidates tie.
+        self.assert_same(np.round(A, 2) if rounded else A, max_segment)
+
+    def test_block_ties(self):
+        A = np.zeros((48, 48))
+        for lo in range(0, 48, 8):
+            A[lo:lo + 8, lo:lo + 8] = 1.0
+        self.assert_same(A)
+        self.assert_same(np.ones((48, 48)))
+
+    @pytest.mark.parametrize("b", [6, 8, 30])
+    def test_rescaled_cosine_path(self, b):
+        assert segment.compute_ck8max(_alternating(b)) < 0
+        self.assert_same(_alternating(b))
+
+    @pytest.mark.parametrize("b", [2, 8, 30])
+    def test_all_zero_path(self, b):
+        self.assert_same(np.zeros((b, b)))
+
+    def test_chunked_windows(self, monkeypatch):
+        # Windows summed a few at a time give the bits of one pass.
+        monkeypatch.setattr(segment, "_WINDOW_VALUES", 50)
+        self.assert_same(np.round(random_autosimilarity(np.random.default_rng(9), 45), 2), 40)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(symmetric_matrices(), st.integers(1, 16))
+    def test_property(self, A, max_segment):
+        self.assert_same(A, max_segment)
 
 
 class TestDpSegment:
