@@ -19,26 +19,21 @@ sample, or whose bits do not fit those bytes. Every `AudioSignal` checks
 its float samples for NaN and infinity, 65,536 frames at a time.
 
 `FeatureFrames.at` takes its frames in chunks of 256 or more, each from
-samples to feature before its worker takes the next. Two workers, the
-calling thread and the process's helper thread (`workers.helper`), draw
-chunks from one shared list and write disjoint column slices of the
-output. A call of one chunk, a call that `workers.worker_count` gives
-one worker, or a call made while another holds the helper (a song of a
-two-worker batch) runs on the calling thread alone.
-The threads pay because each step is a NumPy call on thousands of
-values, which releases the GIL. Within a chunk, the frames go 16 at a
-time: gather their stored samples, decode them as (stored - offset) /
-scale, average the channels, window, rFFT, and write the power into
-that worker's power block. The filterbank GEMM then runs once over the
-whole block. So beyond the stored samples and the output, a call holds
-one power block per worker, of (n_fft/2 + 1) x 256..511 values (2-4 MB
-at n_fft=2048), and one sub-block's temporaries per worker (about 1 MB
-for mono, plus 256 KB per channel for the float64 decode of the
-gathered samples). More workers or larger sub-blocks would raise the
-peak RSS of the rest of the process: what the helper thread allocates
-stays in its own malloc arena after the call. Every output byte is the
-same on one worker and on two, and the same as from the whole song
-decoded first.
+samples to feature before its worker takes the next (`workers.share`
+splits the chunks between the calling thread and the helper thread),
+into disjoint column slices of the output. Within a chunk, the frames
+go 16 at a time: gather their stored samples, decode them as (stored -
+offset) / scale, average the channels, window, rFFT, and write the
+power into that worker's power block. The filterbank GEMM then runs
+once over the whole block. So beyond the stored samples and the output,
+a call holds one power block per worker, of (n_fft/2 + 1) x 256..511
+values (2-4 MB at n_fft=2048), and one sub-block's temporaries per
+worker (about 1 MB for mono, plus 256 KB per channel for the float64
+decode of the gathered samples). More workers or larger sub-blocks
+would raise the peak RSS of the rest of the process: what the helper
+thread allocates stays in its own malloc arena after the call. Every
+output byte is the same on one worker and on two, and the same as from
+the whole song decoded first.
 """
 
 import os
@@ -127,9 +122,9 @@ def load_wav(path):
     try:
         with open(path, "rb") as fh:
             sr, raw, offset, scale = _read_wav(fh)
+        return AudioSignal._of_stored(raw, offset, scale, int(sr))
     except (OSError, ValueError) as exc:
         raise ValueError(f"{path}: cannot decode WAV file ({exc})") from exc
-    return AudioSignal._of_stored(raw, offset, scale, int(sr))
 
 
 _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
@@ -349,11 +344,8 @@ class FeatureFrames:
     def at(self, frames):
         """f x len(frames) feature values at the given frame indices.
 
-        Each chunk of frames is reduced to its feature before its worker
-        takes the next chunk, so memory beyond the output stays bounded.
-        The chunks run on the calling thread and, if `workers.helper`
-        lends it, on the helper thread; while a two-worker batch holds the
-        helper, they run on the calling thread alone. The bytes are the same.
+        Each chunk of frames is reduced to its feature, in its worker's
+        power block, before that worker takes the next (`workers.share`).
         """
         frames = np.asarray(frames, dtype=np.int64)
         if frames.size and not (0 <= frames.min() and frames.max() < self.n_frames):
@@ -364,24 +356,15 @@ class FeatureFrames:
         window = _hann_window(self.n_fft)
         rows = _frame_rows(self.signal._stored, self.n_fft)
         chunks = list(workers.spans(len(frames), _CHUNK))
-        shared = iter(chunks)  # under the GIL, next() hands each chunk to one worker
+        widest = max((stop - start for start, stop in chunks), default=0)
 
-        def work(block):
-            for start, stop in shared:
-                power = block[:(half + 1) * (stop - start)].reshape(half + 1, stop - start)
-                _fill_power(self.signal, rows, window, frames[start:stop] * self.hop - half, power)
-                out[:, start:stop] = feature_of(power)
+        def work(chunk, block):
+            start, stop = chunk
+            power = block[:(half + 1) * (stop - start)].reshape(half + 1, stop - start)
+            _fill_power(self.signal, rows, window, frames[start:stop] * self.hop - half, power)
+            out[:, start:stop] = feature_of(power)
 
-        with workers.helper() as pool:
-            n_workers = 2 if len(chunks) >= 2 and pool is not None else 1
-            # The calling thread makes every worker's power block: a block made on
-            # the helper thread would stay in that thread's malloc arena.
-            widest = max((stop - start for start, stop in chunks), default=0)
-            blocks = [np.empty((half + 1) * widest) for _ in range(n_workers)]
-            helpers = [pool.submit(work, block) for block in blocks[1:]]
-            work(blocks[0])
-            for helper in helpers:
-                helper.result()
+        workers.share(chunks, work, lambda: np.empty((half + 1) * widest))
         return out
 
 

@@ -126,10 +126,26 @@ def _stage(name, timings=None):
         timings[name] = time.perf_counter() - t0
 
 
-@workers.one_blas_thread()
 def run_song(cfg, song_id=None):
-    """Execute the full pipeline for one song and write its artifacts, at one BLAS thread."""
+    """Execute the full pipeline for one song and write its artifacts, at one BLAS thread.
+
+    If it raises, it removes the song's artifacts, which would otherwise
+    read as this run's; one that cannot be removed stays.
+    """
     song_id = song_id or os.path.splitext(os.path.basename(cfg.audio_path))[0]
+    try:
+        with workers.one_blas_thread():
+            return _run_stages(cfg, song_id)
+    except BaseException:
+        if cfg.output_dir:
+            for suffix in _ARTIFACTS:
+                with contextlib.suppress(OSError):
+                    os.remove(os.path.join(cfg.output_dir, song_id + suffix))
+        raise
+
+
+def _run_stages(cfg, song_id):
+    """The stages of `run_song`, which removes the song's artifacts if one fails."""
     timings = {}
     with _stage("load", timings):
         signal = features.load_wav(cfg.audio_path)
@@ -139,7 +155,7 @@ def run_song(cfg, song_id=None):
         grid, dropped = bars.drop_bars_past_end(grid, signal.sample_rate / cfg.hop, n_frames)
     if dropped:
         warnings.warn(f"song {song_id!r}: dropped {dropped} bars that start at or past the audio end",
-                      stacklevel=2)
+                      stacklevel=3)  # run_song's caller
     # PCA and NMF give at most one component per bar; the AE's d_c is
     # bounded by its bottleneck instead. Fail before paying for features.
     if cfg.compressor in ("pca", "nmf") and cfg.d_c > grid.n_bars:
@@ -198,14 +214,10 @@ def _boundary_text(boundary_seconds):
 def run_batch(dataset_dir, cfg):
     """Run every <dataset_dir>/<song>/ directory through the pipeline, at one BLAS thread.
 
-    Songs share no model or data, so a batch of two or more runs them two
-    at a time when `workers.helper` lends the helper thread (see
-    `workers`): the calling thread and the helper take songs in sorted
-    order from one shared iterator. A song then runs its features and AE
-    on its own thread alone. A one-song batch leaves the helper to those
-    steps. Per-song failures are recorded and the batch continues.
-    Returns (aggregate dict, results list, failures dict), in sorted song
-    order whichever thread ran each song.
+    Songs share no model or data, so `workers.share` runs them two at a
+    time in sorted order. Per-song failures are recorded and the batch
+    continues. Returns (aggregate dict, results list, failures dict), in
+    sorted song order whichever thread ran each song.
     """
     if not os.path.isdir(dataset_dir):
         raise ValueError(f"dataset directory not found: {dataset_dir}")
@@ -216,40 +228,23 @@ def run_batch(dataset_dir, cfg):
         raise ValueError(f"no song directories in {dataset_dir}")
 
     outcomes = {}  # song -> its SongResult, or the text of its failure
-    shared = iter(song_dirs)  # under the GIL, next() hands each song to one worker
 
-    def work():
-        for song in shared:
-            base = os.path.join(dataset_dir, song)
-            annotations = os.path.join(base, "annotations.txt")
-            song_cfg = replace(
-                cfg,
-                audio_path=os.path.join(base, "audio.wav"),
-                downbeats_path=os.path.join(base, "downbeats.txt"),
-                annotations_path=annotations if os.path.exists(annotations) else "",
-                output_dir=os.path.join(cfg.output_dir, song) if cfg.output_dir else "",
-            )
-            try:
-                outcomes[song] = run_song(song_cfg, song_id=song)
-            except Exception as exc:
-                outcomes[song] = f"{exc}\n{traceback.format_exc(limit=2)}"
-                if song_cfg.output_dir:
-                    # An earlier run's artifacts would read as this run's. One that
-                    # cannot be removed stays; aggregate.json still names the failure.
-                    for suffix in _ARTIFACTS:
-                        with contextlib.suppress(OSError):
-                            os.remove(os.path.join(song_cfg.output_dir, song + suffix))
-
-    with workers.helper() if len(song_dirs) >= 2 else contextlib.nullcontext() as pool:
-        helpers = [] if pool is None else [pool.submit(work)]
+    def work(song, _):
+        base = os.path.join(dataset_dir, song)
+        annotations = os.path.join(base, "annotations.txt")
+        song_cfg = replace(
+            cfg,
+            audio_path=os.path.join(base, "audio.wav"),
+            downbeats_path=os.path.join(base, "downbeats.txt"),
+            annotations_path=annotations if os.path.exists(annotations) else "",
+            output_dir=os.path.join(cfg.output_dir, song) if cfg.output_dir else "",
+        )
         try:
-            work()
-        finally:
-            # A caller stopped early (an interrupt) leaves the helper no new song.
-            for _ in shared:
-                pass
-        for helper in helpers:
-            helper.result()
+            outcomes[song] = run_song(song_cfg, song_id=song)
+        except Exception as exc:
+            outcomes[song] = f"{exc}\n{traceback.format_exc(limit=2)}"
+
+    workers.share(song_dirs, work)
     results = [outcomes[song] for song in song_dirs if isinstance(outcomes[song], SongResult)]
     failures = {song: outcomes[song] for song in song_dirs if isinstance(outcomes[song], str)}
 

@@ -2,11 +2,11 @@
 
 A segment's cost aggregates the similarities of its bar pairs through a
 fixed homogeneity kernel (0 diagonal, 2 on the four sub/super diagonals,
-1 elsewhere), built once per size and read-only. Costs are normalized by
-the highest size-8 window cost and penalized by a musical segment-size
-prior (8 bars free, 4 bars cheap, even sizes mild, odd sizes expensive);
-dynamic programming then picks the boundary set with the maximal total
-score.
+1 elsewhere), built anew for each size a call scores. Costs are
+normalized by the highest size-8 window cost and penalized by a musical
+segment-size prior (8 bars free, 4 bars cheap, even sizes mild, odd
+sizes expensive); dynamic programming then picks the boundary set with
+the maximal total score.
 
 `dp_segment` scores all segments of one size n in one array pass: the
 b - n + 1 diagonal n x n windows of A, as a strided view, times the
@@ -18,7 +18,6 @@ sizes, and each end's best predecessor is one vector max over its row.
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -81,16 +80,14 @@ def cosine_autosimilarity(Z):
     return A
 
 
-@lru_cache(maxsize=None)
 def kernel(n):
-    """Homogeneity kernel: 0 diagonal, 2 within 4 bars, 1 beyond; cached and read-only."""
+    """Homogeneity kernel: 0 diagonal, 2 within 4 bars, 1 beyond."""
     if n < 1:
         raise ValueError(f"kernel size must be >= 1, got {n}")
     dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     K = np.ones((n, n))
     K[dist == 0] = 0.0
     K[(dist >= 1) & (dist <= 4)] = 2.0
-    K.setflags(write=False)
     return K
 
 
@@ -117,8 +114,8 @@ def _window_costs(A, n):
     terms in the order `np.sum` uses for the single n x n block.
     """
     windows = np.moveaxis(sliding_window_view(A, (n, n)).diagonal(), -1, 0)
-    step = max(1, _WINDOW_VALUES // (n * n))
-    raw = np.concatenate([(kernel(n) * windows[t:t + step]).sum(axis=(1, 2))
+    K, step = kernel(n), max(1, _WINDOW_VALUES // (n * n))
+    raw = np.concatenate([(K * windows[t:t + step]).sum(axis=(1, 2))
                           for t in range(0, len(windows), step)])
     return raw / _size_norm(n)
 

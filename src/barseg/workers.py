@@ -1,15 +1,15 @@
 """How a call splits its work, and the one thread configuration it runs in.
 
-A process has one helper thread at most. `run_batch` (with two or more
-songs), `FeatureFrames.at` and `train_single_song` each take it through
-`helper`, which lends it to one holder at a time and only where
-`worker_count` allows a second worker: two CPUs per OpenBLAS thread. So
-one rule decides whether any of them starts a helper thread, and while
-a batch runs two songs at a time, neither the features nor the AE of a
-song start one of their own. `run_song`, `run_batch` and
-`compute_feature` run inside `one_blas_thread`, so a process with two
-CPUs runs them on two workers at one BLAS thread whatever the
-environment sets, with the same bytes.
+A process has one helper thread at most. `share` (which splits a
+song's feature chunks and a batch's songs) and `train_single_song`
+each take it through `helper`, which lends it to one holder at a time
+and only where `worker_count` allows a second worker: two CPUs per
+OpenBLAS thread. So one rule decides whether any of them starts a
+helper thread, and while a batch runs two songs at a time, neither the
+features nor the AE of a song start one of their own. `run_song`,
+`run_batch` and `compute_feature` run inside `one_blas_thread`, so a
+process with two CPUs runs them on two workers at one BLAS thread
+whatever the environment sets, with the same bytes.
 """
 
 import contextlib
@@ -42,6 +42,39 @@ def spans(n, size):
     if len(starts) > 1 and n - starts[-1] < size:
         del starts[-1]
     return zip(starts, starts[1:] + [n])
+
+
+def share(items, work, scratch=lambda: None):
+    """Call work(item, s) for every item of a sequence, on the calling thread and the helper.
+
+    Both workers (the helper only if `helper` lends it) take items in order
+    from one shared iterator: under the GIL each next() hands an item to
+    one worker, and NumPy work releases the GIL. `s` is the worker's own
+    scratch, made by `scratch()` on the calling thread, since what the
+    helper thread allocates stays in its malloc arena. Fewer than two
+    items leave the helper free for the item's own steps. A failure or
+    interrupt on either worker drains the iterator, so the other takes no
+    new item; if both fail, the calling thread's error wins.
+    """
+    shared = iter(items)
+
+    def run(s):
+        try:
+            for item in shared:
+                work(item, s)
+        except BaseException:
+            for _ in shared:
+                pass
+            raise
+
+    with helper() if len(items) >= 2 else contextlib.nullcontext() as pool:
+        if pool is None:
+            run(scratch())
+            return
+        mine, theirs = scratch(), scratch()
+        other = pool.submit(run, theirs)
+        run(mine)
+        other.result()
 
 
 @contextlib.contextmanager

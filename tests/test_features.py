@@ -1,8 +1,10 @@
 import os
+import re
 import struct
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from barseg import bars, features, pipeline, workers
+from barseg import bars, cli, features, pipeline, workers
 
 # Every kind FeatureFrames computes: the power STFT and the features a run can ask for.
 KINDS = ("stft_power",) + pipeline.FEATURES
@@ -331,6 +333,20 @@ class TestLoadWav:
         with pytest.raises(ValueError, match=r"cannot decode WAV file \(fmt chunk sizes disagree"):
             decode_bytes(tmp_path, data)
 
+    @pytest.mark.parametrize("rate, samples, reason", [
+        (0, [0.0, 0.5], "sample_rate must be positive, got 0"),
+        (44100, [0.0, np.nan, 0.5], "audio contains non-finite samples"),
+    ], ids=["rate_0", "nan"])
+    def test_signal_errors_name_the_file(self, tmp_path, capsys, rate, samples, reason):
+        path = tmp_path / "bad.wav"
+        payload = np.array(samples, "<f4").tobytes()
+        path.write_bytes(riff_file(fmt_chunk(3, 1, 32, 4, rate=rate), chunk(b"data", payload)))
+        message = f"{path}: cannot decode WAV file ({reason})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            features.load_wav(path)
+        assert cli.main(["features", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"barseg: error: {message}\n"
+
     def test_signal_owns_its_samples(self):
         x = np.zeros(4096)
         signal = features.AudioSignal(x, 44100)
@@ -538,6 +554,43 @@ class TestFeatureFramesWorkers:
             features.FeatureFrames(sig, "nnlms").at(np.arange(1200))
         assert helper_took_a_chunk.is_set()
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ["caller", "helper"])
+    def test_a_failure_leaves_the_other_worker_no_new_chunk(self, monkeypatch, failing):
+        feature_of_power = features._feature_of_power
+        caller = threading.current_thread()
+        holds = {"caller": threading.Event(), "helper": threading.Event()}
+        failed, after_failure = threading.Event(), []
+
+        def failing_feature_of_power(*args):
+            n_rows, feature_of = feature_of_power(*args)
+
+            def fails_on_one_thread(power):
+                on = "caller" if threading.current_thread() is caller else "helper"
+                if failed.is_set():
+                    after_failure.append(on)
+                if not holds[on].is_set():
+                    # Each worker holds its first chunk until the other holds one too.
+                    holds[on].set()
+                    for event in holds.values():
+                        event.wait(timeout=30)
+                    if on == failing:
+                        failed.set()
+                        raise RuntimeError(f"chunk failed on the {failing}")
+                    failed.wait(timeout=30)
+                    time.sleep(0.2)  # the failing worker drains the chunks meanwhile
+                return feature_of(power)
+            return n_rows, fails_on_one_thread
+
+        monkeypatch.setattr(features, "_feature_of_power", failing_feature_of_power)
+        monkeypatch.setattr(workers, "worker_count", lambda: 2)
+        sig = features.AudioSignal(np.random.default_rng(12).uniform(-1, 1, 40000), 44100)
+        feature = features.FeatureFrames(sig, "nnlms")
+        with pytest.raises(RuntimeError, match=f"chunk failed on the {failing}"):
+            feature.at(np.arange(20 * features._CHUNK) % feature.n_frames)
+        # The other worker finished the chunk it held and computed no other.
+        assert all(event.is_set() for event in holds.values())
+        assert after_failure == []
 
     def test_rfft_rows_do_not_depend_on_rows_per_call(self):
         # `_fill_power` takes the rFFT of a chunk's frames a sub-block at a

@@ -203,9 +203,8 @@ class TestRunSong:
         with pytest.raises(pipeline.StageError, match="no space left") as excinfo:
             pipeline.run_song(cfg)
         assert excinfo.value.stage == "output"
-        # The earlier run's record is gone, and no file is left half written.
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["audio.autosim.pgm", "audio.boundaries.txt"]
-        assert matio.read_pgm(tmp_path / "audio.autosim.pgm").shape == (8, 8)
+        # Neither the earlier run's files nor this run's first one are left.
+        assert list(tmp_path.iterdir()) == []
 
     def test_timings_keys_without_annotations(self, short_song_dir, tmp_path):
         cfg = make_config(short_song_dir, tmp_path, compressor="none", annotations_path="")
@@ -246,8 +245,10 @@ class TestDegenerateInput:
         last = float(text.split()[-1])
         path.write_text(text + f"{last + 1}\n{last + 2}\n")
         cfg = make_config(short_song_dir, tmp_path / "out", compressor="none", downbeats_path=str(path))
-        with pytest.warns(UserWarning, match=r"^song 'audio': dropped 2 bars that start at or past the audio end$"):
+        dropped = r"^song 'audio': dropped 2 bars that start at or past the audio end$"
+        with pytest.warns(UserWarning, match=dropped) as record:
             result = pipeline.run_song(cfg)
+        assert record[0].filename == __file__  # the warning names run_song's caller
         expected = pipeline.run_song(make_config(short_song_dir, tmp_path / "ref", compressor="none"))
         assert result.boundaries_bars == expected.boundaries_bars == [0, 4, 8]
         assert result.boundaries_seconds == expected.boundaries_seconds
@@ -686,6 +687,19 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err == f"barseg: error: {config}: unknown config key 'bogus'\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dc_args", [[], ["--dc-sweep", "2,3"]])
+    def test_failed_segment_rerun_leaves_no_earlier_artifacts(self, short_song_dir, tmp_path, capsys, dc_args):
+        argv = ["segment", str(short_song_dir / "audio.wav"), "--downbeats", str(short_song_dir / "downbeats.txt"),
+                *dc_args, "--out", str(tmp_path)]
+        failing_run = tmp_path / "dc2" if dc_args else tmp_path
+        assert cli.main(argv + ["--compressor", "none"]) == 0
+        assert sorted(p.name for p in failing_run.iterdir()) == [
+            "audio.autosim.pgm", "audio.boundaries.txt", "audio.result.json"]
+        # LMS is negative wherever the mel power is below 1, and NMF refuses it.
+        assert cli.main(argv + ["--compressor", "nmf", "--feature", "lms"]) == 2
+        assert "stage 'compression' failed: NMF needs nonnegative input" in capsys.readouterr().err
+        assert not [p for p in failing_run.iterdir() if p.is_file()]
 
     def test_silent_song_under_pca_is_one_segment(self, silent_song_dir, tmp_path, capsys):
         # Every PCA component of silence is at the rounding floor, so H is

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -143,11 +144,18 @@ class TestKernelPenalty:
     def test_kernel_size_1(self):
         assert np.array_equal(segment.kernel(1), [[0.0]])
 
-    def test_kernel_is_cached_and_read_only(self):
-        K = segment.kernel(6)
-        assert segment.kernel(6) is K
-        with pytest.raises(ValueError, match="read-only"):
-            K[0, 0] = 1.0
+    def test_dp_holds_no_kernel_after_it_returns(self):
+        # A kernel lives while its size is scored: a DP over every size to
+        # 200 bars would otherwise keep about 21 MB of them.
+        A = segment.cosine_autosimilarity(np.random.default_rng(6).random((5, 200)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            segment.dp_segment(A, max_segment=200)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20
 
     def test_kernel_closed_form_1_to_64(self):
         for n in range(1, 65):

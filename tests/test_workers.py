@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -175,3 +176,86 @@ def test_a_failing_block_releases_the_helper(monkeypatch):
             raise RuntimeError("block failed")
     with workers.helper() as pool:
         assert pool is not None
+
+
+@pytest.mark.parametrize("count", [2, 1])
+def test_share_runs_every_item_once(monkeypatch, count):
+    monkeypatch.setattr(workers, "worker_count", lambda: count)
+    caller = threading.current_thread()
+    done, scratches = [], []
+
+    def scratch():
+        scratches.append(threading.current_thread())
+        return len(scratches)
+
+    def work(item, s):
+        if item % 100 == 0:
+            time.sleep(0.001)  # lets the other worker take items too
+        done.append((item, threading.current_thread(), s))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch between any two bytecodes
+    try:
+        workers.share(list(range(2000)), work, scratch)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(item for item, _, _ in done) == list(range(2000))
+    assert scratches == [caller] * count
+    # Each worker has its own scratch; the caller's is the first made.
+    assert all(s == (1 if thread is caller else 2) for _, thread, s in done)
+
+
+@pytest.mark.parametrize("count", [2, 1])
+@pytest.mark.parametrize("n_items", [0, 1])
+def test_share_of_fewer_than_two_items_leaves_the_helper_free(monkeypatch, count, n_items):
+    monkeypatch.setattr(workers, "worker_count", lambda: count)
+    scratches, slot_held = [], []
+    workers.share(list(range(n_items)), lambda item, s: slot_held.append(workers._helper_slot.locked()),
+                  lambda: scratches.append(threading.current_thread()))
+    assert slot_held == [False] * n_items
+    assert scratches == [threading.current_thread()]
+
+
+@pytest.mark.parametrize("failing", [("helper",), ("caller", "helper")])
+def test_share_raises_the_callers_error_first(monkeypatch, failing):
+    monkeypatch.setattr(workers, "worker_count", lambda: 2)
+    caller = threading.current_thread()
+    holds = {"caller": threading.Event(), "helper": threading.Event()}
+    failed, after_failure = threading.Event(), []
+
+    def work(item, s):
+        on = "caller" if threading.current_thread() is caller else "helper"
+        if failed.is_set():
+            after_failure.append(item)
+        if holds[on].is_set():
+            return
+        # Each worker holds its first item until the other holds one too.
+        holds[on].set()
+        for event in holds.values():
+            event.wait(timeout=30)
+        if on in failing:
+            failed.set()
+            raise RuntimeError(f"item failed on the {on}")
+        failed.wait(timeout=30)
+        time.sleep(0.2)  # the failing worker drains the iterator meanwhile
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"item failed on the {failing[0]}"):
+        workers.share(list(range(20)), work)
+    assert all(event.is_set() for event in holds.values())
+    assert after_failure == []
+    assert threading.active_count() == before
+
+
+def test_share_on_one_worker_stops_at_the_failing_item(monkeypatch):
+    monkeypatch.setattr(workers, "worker_count", lambda: 1)
+    done = []
+
+    def work(item, s):
+        done.append(item)
+        if item == 3:
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        workers.share(list(range(10)), work)
+    assert done == [0, 1, 2, 3]
