@@ -17,7 +17,7 @@ from .evaluate import (
 )
 from .features import AudioSignal, compute_feature, load_wav
 from .lowrank import LowRankModel, nmf_compress, pca_compress
-from .pipeline import PipelineConfig, SongResult, run_batch, run_song
+from .pipeline import PipelineConfig, run_batch, run_song
 from .segment import (
     Segmentation,
     compute_ck8max,

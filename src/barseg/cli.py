@@ -96,9 +96,9 @@ def cmd_features(args):
 
 def _print_result(result, run=""):
     """Print a song's boundaries and scores, headed `<run>/<song>` for a run of a sweep."""
-    name = f"{run}/{result.song_id}" if run else result.song_id
-    print(f"{name}: boundaries (bars) {result.boundaries_bars}")
-    for key, row in result.eval_report.items():
+    name = f"{run}/{result['song_id']}" if run else result["song_id"]
+    print(f"{name}: boundaries (bars) {result['boundaries_bars']}")
+    for key, row in result.get("eval", {}).items():
         print(
             f"  tol {key}s: P={row['precision']:.3f} R={row['recall']:.3f} F={row['f_measure']:.3f}"
         )
@@ -116,8 +116,13 @@ def cmd_segment(args):
                 base, d_c=d_c, output_dir=base.output_dir and os.path.join(base.output_dir, f"dc{d_c}")))
             for d_c in sweep
         ]
-    for run, cfg in runs:
-        _print_result(pipeline.run_song(cfg), run)
+    for k, (run, cfg) in enumerate(runs):
+        try:
+            _print_result(pipeline.run_song(cfg), run)
+        except BaseException:
+            for _, later in runs[k + 1:]:  # an earlier command's files there would read as this one's
+                pipeline.remove_artifacts(later)
+            raise
     return 0
 
 

@@ -86,9 +86,21 @@ def hit_rate(est, ref, tol):
     return ToleranceResult(tol, precision, recall, f_measure, len(est_t), len(ref_t), n_matched, pairs)
 
 
+def tolerance_keys(tolerances):
+    """{format(tol, "g"): tol} in the given order, as in "0.5" and "3". Two different
+    tolerances with one key raise ValueError, since one's report would replace the other's."""
+    keys = {}
+    for tol in tolerances:
+        key = format(tol, "g")
+        if key in keys and keys[key] != tol:
+            raise ValueError(f"tolerances {keys[key]!r} and {tol!r} share the report key {key!r}")
+        keys.setdefault(key, tol)
+    return keys
+
+
 def evaluate_boundaries(est, ref, tolerances=DEFAULT_TOLERANCES):
-    """{format(tol, "g"): hit_rate(est, ref, tol).to_dict()}, in increasing tolerance order."""
-    return {format(tol, "g"): hit_rate(est, ref, tol).to_dict() for tol in sorted(tolerances)}
+    """{key: hit_rate(est, ref, tol).to_dict()} of `tolerance_keys`, in increasing tolerance order."""
+    return {key: hit_rate(est, ref, tol).to_dict() for key, tol in tolerance_keys(sorted(tolerances)).items()}
 
 
 def align_to_downbeats(annot, grid):

@@ -11,7 +11,7 @@ import os
 import time
 import traceback
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -59,31 +59,10 @@ class PipelineConfig:
             raise ValueError(f"subdivision must be divisible by 4, got {self.subdivision}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        self.tolerances = tuple(self.tolerances)  # so a result's config, which lists them, gives this config back
         if not self.tolerances or not all(0 < tol < np.inf for tol in self.tolerances):
             raise ValueError(f"tolerances must be finite and positive, got {self.tolerances}")
-
-    def echo(self):
-        d = asdict(self)
-        d["tolerances"] = list(self.tolerances)
-        return d
-
-
-@dataclass
-class SongResult:
-    song_id: str
-    config: dict
-    boundaries_bars: list
-    boundaries_seconds: list
-    total_score: float
-    timings: dict
-    eval_report: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        out = asdict(self)
-        eval_report = out.pop("eval_report")
-        if eval_report:
-            out["eval"] = eval_report
-        return out
+        evaluate.tolerance_keys(self.tolerances)
 
 
 class StageError(RuntimeError):
@@ -129,19 +108,29 @@ def _stage(name, timings=None):
 def run_song(cfg, song_id=None):
     """Execute the full pipeline for one song and write its artifacts, at one BLAS thread.
 
-    If it raises, it removes the song's artifacts, which would otherwise
-    read as this run's; one that cannot be removed stays.
+    Returns the dict its `<song>.result.json` holds. If it raises, it
+    removes the song's artifacts (`remove_artifacts`).
     """
-    song_id = song_id or os.path.splitext(os.path.basename(cfg.audio_path))[0]
+    song_id = _song_id(cfg, song_id)
     try:
         with workers.one_blas_thread():
             return _run_stages(cfg, song_id)
     except BaseException:
-        if cfg.output_dir:
-            for suffix in _ARTIFACTS:
-                with contextlib.suppress(OSError):
-                    os.remove(os.path.join(cfg.output_dir, song_id + suffix))
+        remove_artifacts(cfg, song_id)
         raise
+
+
+def _song_id(cfg, song_id=None):
+    return song_id or os.path.splitext(os.path.basename(cfg.audio_path))[0]
+
+
+def remove_artifacts(cfg, song_id=None):
+    """Remove the artifacts `run_song(cfg, song_id)` writes, which would otherwise
+    read as a later run's; one that cannot be removed stays."""
+    if cfg.output_dir:
+        for suffix in _ARTIFACTS:
+            with contextlib.suppress(OSError):
+                os.remove(os.path.join(cfg.output_dir, _song_id(cfg, song_id) + suffix))
 
 
 def _run_stages(cfg, song_id):
@@ -176,21 +165,19 @@ def _run_stages(cfg, song_id):
     with _stage("segmentation", timings):
         A = segment.cosine_autosimilarity(Z)
         seg = segment.dp_segment(A, max_segment=cfg.max_segment).with_times(grid)
-    eval_report = {}
+    result = {
+        "song_id": song_id,
+        "config": {**asdict(cfg), "tolerances": list(cfg.tolerances)},
+        "boundaries_bars": [int(v) for v in seg.boundaries_bars],
+        "boundaries_seconds": [float(v) for v in seg.boundaries_seconds],
+        "total_score": seg.total_score,
+        "timings": timings,
+    }
     if cfg.annotations_path:
         with _stage("evaluation", timings):
             ref = evaluate.load_annotations(cfg.annotations_path)
             est = evaluate.BoundarySet(seg.boundaries_seconds)
-            eval_report = evaluate.evaluate_boundaries(est, ref, cfg.tolerances)
-    result = SongResult(
-        song_id=song_id,
-        config=cfg.echo(),
-        boundaries_bars=[int(v) for v in seg.boundaries_bars],
-        boundaries_seconds=[float(v) for v in seg.boundaries_seconds],
-        total_score=seg.total_score,
-        timings=timings,
-        eval_report=eval_report,
-    )
+            result["eval"] = evaluate.evaluate_boundaries(est, ref, cfg.tolerances)
     if cfg.output_dir:
         with _stage("output"):
             os.makedirs(cfg.output_dir, exist_ok=True)
@@ -201,7 +188,7 @@ def _run_stages(cfg, song_id):
                 os.remove(prefix + ".result.json")
             matio.write_in_place(prefix + ".boundaries.txt", matio.write_text, _boundary_text(seg.boundaries_seconds))
             matio.write_in_place(prefix + ".autosim.pgm", matio.write_pgm, A)
-            matio.write_in_place(prefix + ".result.json", matio.write_json, result.to_dict())
+            matio.write_in_place(prefix + ".result.json", matio.write_json, result)
     return result
 
 
@@ -227,7 +214,7 @@ def run_batch(dataset_dir, cfg):
     if not song_dirs:
         raise ValueError(f"no song directories in {dataset_dir}")
 
-    outcomes = {}  # song -> its SongResult, or the text of its failure
+    outcomes = {}  # song -> its result dict, or the text of its failure
 
     def work(song, _):
         base = os.path.join(dataset_dir, song)
@@ -245,14 +232,13 @@ def run_batch(dataset_dir, cfg):
             outcomes[song] = f"{exc}\n{traceback.format_exc(limit=2)}"
 
     workers.share(song_dirs, work)
-    results = [outcomes[song] for song in song_dirs if isinstance(outcomes[song], SongResult)]
+    results = [outcomes[song] for song in song_dirs if isinstance(outcomes[song], dict)]
     failures = {song: outcomes[song] for song in song_dirs if isinstance(outcomes[song], str)}
 
     aggregate = {"n_songs": len(song_dirs), "n_ok": len(results), "n_failed": len(failures)}
     per_tol = {}
-    for tol in cfg.tolerances:
-        key = format(tol, "g")
-        rows = [r.eval_report[key] for r in results if key in r.eval_report]
+    for key in evaluate.tolerance_keys(cfg.tolerances):
+        rows = [r["eval"][key] for r in results if "eval" in r]
         if rows:
             per_tol[key] = {m: float(np.mean([row[m] for row in rows])) for m in _MEAN_METRICS}
             per_tol[key]["n_songs"] = len(rows)

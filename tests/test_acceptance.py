@@ -181,8 +181,8 @@ class TestAcceptance:
             start = time.perf_counter()
             result = pipeline.run_song(cfg)
             elapsed = time.perf_counter() - start
-            assert result.eval_report["0.5"]["f_measure"] == 1.0, result.boundaries_seconds
-            assert elapsed < budget, f"took {elapsed:.1f}s; stage timings {result.timings}"
+            assert result["eval"]["0.5"]["f_measure"] == 1.0, result["boundaries_seconds"]
+            assert elapsed < budget, f"took {elapsed:.1f}s; stage timings {result['timings']}"
 
     def test_metric_hand_cases(self):
         with criterion("hit-rate hand cases incl. one-to-one matching trap"):

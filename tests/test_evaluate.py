@@ -256,3 +256,13 @@ class TestEvaluateBoundaries:
         assert list(d) == ["0.5", "3"]
         assert d["0.5"]["f_measure"] == 1.0
         assert {"tol", "precision", "recall", "f_measure", "n_est", "n_ref", "n_matched"} <= set(d["3"])
+
+    def test_tolerances_that_share_a_key_rejected(self):
+        est = np.array([0.0, 5.0, 10.0])
+        with pytest.raises(ValueError, match=r"^tolerances 0.5 and 0.5000001 share the report key '0.5'$"):
+            evaluate.evaluate_boundaries(est, est, (3.0, 0.5000001, 0.5))
+
+    def test_repeated_tolerance_is_one_entry(self):
+        est = np.array([0.0, 5.0, 10.0])
+        d = evaluate.evaluate_boundaries(est, est, (3.0, 0.5, 3, 0.5))
+        assert d == evaluate.evaluate_boundaries(est, est, (0.5, 3.0))

@@ -73,9 +73,9 @@ class TestWriteSongDir:
 class TestRunSong:
     def test_recovers_structure(self, pca_run):
         result, _, _ = pca_run
-        assert result.boundaries_seconds == EXPECTED_SECONDS
-        assert result.eval_report["0.5"]["f_measure"] == 1.0
-        assert result.eval_report["3"]["f_measure"] == 1.0
+        assert result["boundaries_seconds"] == EXPECTED_SECONDS
+        assert result["eval"]["0.5"]["f_measure"] == 1.0
+        assert result["eval"]["3"]["f_measure"] == 1.0
 
     def test_artifacts_written(self, pca_run):
         _, out, _ = pca_run
@@ -85,23 +85,32 @@ class TestRunSong:
     def test_result_json_parses(self, pca_run):
         result, out, _ = pca_run
         loaded = json.loads((out / "audio.result.json").read_text())
-        assert loaded["boundaries_seconds"] == result.boundaries_seconds
+        assert loaded["boundaries_seconds"] == result["boundaries_seconds"]
         assert loaded["config"]["compressor"] == "pca"
         assert loaded["eval"]["0.5"]["f_measure"] == 1.0
+
+    @pytest.mark.parametrize("annotated", [True, False])
+    def test_result_is_the_result_json(self, short_song_dir, tmp_path, annotated):
+        cfg = make_config(short_song_dir, tmp_path, **({} if annotated else {"annotations_path": ""}))
+        result = pipeline.run_song(cfg)
+        assert ("eval" in result) == annotated
+        text = (tmp_path / "audio.result.json").read_text()
+        assert result == json.loads(text)
+        assert matio.dumps_json(result) == text
 
     def test_timings_present_and_positive(self, pca_run):
         result, _, _ = pca_run
         expected = {"load", "features", "barwise_tf", "compression", "segmentation", "evaluation"}
-        assert set(result.timings) == expected
-        assert all(v > 0 for v in result.timings.values())
+        assert set(result["timings"]) == expected
+        assert all(v > 0 for v in result["timings"].values())
 
     def test_boundary_file_format(self, pca_run):
         result, out, _ = pca_run
         lines = (out / "audio.boundaries.txt").read_text().splitlines()
-        assert len(lines) == len(result.boundaries_seconds) - 1
+        assert len(lines) == len(result["boundaries_seconds"]) - 1
         starts, ends = zip(*(map(float, line.split("\t")) for line in lines))
-        assert list(starts) == result.boundaries_seconds[:-1]
-        assert list(ends) == result.boundaries_seconds[1:]
+        assert list(starts) == result["boundaries_seconds"][:-1]
+        assert list(ends) == result["boundaries_seconds"][1:]
 
     def test_boundary_text_is_the_savetxt_bytes(self, tmp_path):
         # The boundary file was np.savetxt of the start and end columns, kept here as its reference.
@@ -126,15 +135,13 @@ class TestRunSong:
         assert (tmp_path / "audio.autosim.pgm").read_bytes() == (
             out / "audio.autosim.pgm"
         ).read_bytes()
-        a, b = result.to_dict(), rerun.to_dict()
-        a.pop("timings"), b.pop("timings")
-        a["config"].pop("output_dir"), b["config"].pop("output_dir")
+        a, b = ({**r, "timings": None, "config": {**r["config"], "output_dir": None}} for r in (result, rerun))
         assert matio.dumps_json(a) == matio.dumps_json(b)
 
     def test_compressor_none_completes(self, short_song_dir, tmp_path):
         cfg = make_config(short_song_dir, tmp_path, compressor="none")
         result = pipeline.run_song(cfg)
-        assert result.boundaries_bars[0] == 0 and result.boundaries_bars[-1] == 8
+        assert result["boundaries_bars"][0] == 0 and result["boundaries_bars"][-1] == 8
         assert np.all(np.diag(matio.read_pgm(tmp_path / "audio.autosim.pgm")) == 255)
 
     def test_nmf_rejects_signed_feature(self, short_song_dir, tmp_path):
@@ -209,7 +216,7 @@ class TestRunSong:
     def test_timings_keys_without_annotations(self, short_song_dir, tmp_path):
         cfg = make_config(short_song_dir, tmp_path, compressor="none", annotations_path="")
         result = pipeline.run_song(cfg)
-        assert set(result.timings) == {"load", "features", "barwise_tf", "compression", "segmentation"}
+        assert set(result["timings"]) == {"load", "features", "barwise_tf", "compression", "segmentation"}
 
 
 class TestDegenerateInput:
@@ -218,9 +225,9 @@ class TestDegenerateInput:
         cfg = make_config(silent_song_dir, tmp_path, compressor=compressor)
         with pytest.warns(UserWarning, match=r"c_k8_max=0\.0 is not positive"):
             result = pipeline.run_song(cfg)
-        assert result.boundaries_bars == [0, 16]
-        assert result.boundaries_seconds == [0.0, 8.0]
-        assert result.total_score == 0.0
+        assert result["boundaries_bars"] == [0, 16]
+        assert result["boundaries_seconds"] == [0.0, 8.0]
+        assert result["total_score"] == 0.0
         assert json.loads((tmp_path / "audio.result.json").read_text())["boundaries_bars"] == [0, 16]
 
     @pytest.mark.parametrize("dc_args", [[], ["--dc-sweep", "2,3"]])
@@ -250,9 +257,9 @@ class TestDegenerateInput:
             result = pipeline.run_song(cfg)
         assert record[0].filename == __file__  # the warning names run_song's caller
         expected = pipeline.run_song(make_config(short_song_dir, tmp_path / "ref", compressor="none"))
-        assert result.boundaries_bars == expected.boundaries_bars == [0, 4, 8]
-        assert result.boundaries_seconds == expected.boundaries_seconds
-        assert result.total_score == expected.total_score
+        assert result["boundaries_bars"] == expected["boundaries_bars"] == [0, 4, 8]
+        assert result["boundaries_seconds"] == expected["boundaries_seconds"]
+        assert result["total_score"] == expected["total_score"]
 
     @pytest.mark.parametrize("compressor", ["pca", "nmf"])
     def test_fewer_bars_than_dc_fails_before_features(self, tmp_path, monkeypatch, compressor):
@@ -273,7 +280,7 @@ class TestDegenerateInput:
         for compressor, d_c in (("ae", 8), ("pca", 6), ("nmf", 6)):
             cfg = make_config(tmp_path / "six", tmp_path / compressor, compressor=compressor, d_c=d_c,
                               ae_max_epochs=1)
-            assert pipeline.run_song(cfg).boundaries_bars[-1] == 6
+            assert pipeline.run_song(cfg)["boundaries_bars"][-1] == 6
 
 
 class TestPipelineConfig:
@@ -301,17 +308,18 @@ class TestPipelineConfig:
         ("tolerances", (float("inf"),), r"tolerances must be finite and positive, got \(inf,\)"),
         ("tolerances", (0.0, 3.0), r"tolerances must be finite and positive, got \(0.0, 3.0\)"),
         ("tolerances", (-0.5,), r"tolerances must be finite and positive, got \(-0.5,\)"),
+        ("tolerances", (0.5, 0.5000001, 3.0), r"tolerances 0.5 and 0.5000001 share the report key '0.5'"),
         ("ae_max_epochs", 0, "ae_max_epochs must be >= 1, got 0"),
     ])
     def test_bad_setting_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             pipeline.PipelineConfig(**{field: value})
 
-    def test_config_echo_round_trips(self):
-        cfg = pipeline.PipelineConfig(feature="mel", compressor="none", d_c=4)
-        echoed = cfg.echo()
-        assert echoed["feature"] == "mel"
+    def test_config_echo_round_trips(self, pca_run):
+        _, out, cfg = pca_run
+        echoed = json.loads((out / "audio.result.json").read_text())["config"]
         assert echoed["tolerances"] == [0.5, 3.0]
+        assert pipeline.PipelineConfig(**echoed) == cfg
 
 
 @pytest.fixture(scope="module")
@@ -330,7 +338,10 @@ class TestRunBatch:
         assert aggregate["n_songs"] == 3 and aggregate["n_ok"] == 3
         assert aggregate["mean"]["0.5"]["f_measure"] == 1.0
         assert aggregate["mean"]["3"]["f_measure"] == 1.0
-        assert [r.song_id for r in results] == ["song_a", "song_b", "song_c"]
+        assert [r["song_id"] for r in results] == ["song_a", "song_b", "song_c"]
+        for r in results:
+            song = r["song_id"]
+            assert r == json.loads((tmp_path / song / f"{song}.result.json").read_text())
         assert (tmp_path / "aggregate.json").exists()
         csv_lines = (tmp_path / "aggregate.csv").read_text().splitlines()
         assert csv_lines[0] == "tolerance,precision,recall,f_measure,n_songs"
@@ -344,7 +355,7 @@ class TestRunBatch:
         cfg = make_config(root / "song_a", tmp_path / "out", d_c=4, tolerances=(3.0, 0.5))
         _, results, failures = pipeline.run_batch(str(root), cfg)
         assert not failures
-        assert [list(r.boundaries_bars) for r in results] == [[0, 4, 8, 12, 14, 18], [0, 4, 6, 10, 12]]
+        assert [list(r["boundaries_bars"]) for r in results] == [[0, 4, 8, 12, 14, 18], [0, 4, 6, 10, 12]]
         assert (tmp_path / "out" / "aggregate.csv").read_text().splitlines() == [
             "tolerance,precision,recall,f_measure,n_songs",
             "3,0.71666666666666667,1,0.82954545454545447,2",
@@ -420,7 +431,7 @@ def batch_outputs(out):
 def comparable(batch):
     """run_batch's return value without the timings, which differ between runs."""
     aggregate, results, failures = batch
-    return aggregate, [{**r.to_dict(), "timings": None} for r in results], list(failures.items())
+    return aggregate, [{**r, "timings": None} for r in results], list(failures.items())
 
 
 def pin_workers(monkeypatch, count):
@@ -569,7 +580,7 @@ class TestOneBlasThread:
 
     def outputs(self, result, out):
         files = {p.name: p.read_bytes() for p in out.iterdir() if not p.name.endswith(".result.json")}
-        return {**result.to_dict(), "timings": None}, files
+        return {**result, "timings": None}, files
 
     def test_run_song_bytes_do_not_depend_on_the_callers_count(self, song_dir, tmp_path, set_blas_threads):
         # NMF's total_score differs in its last bits at two BLAS threads.
@@ -700,6 +711,7 @@ class TestCli:
         assert cli.main(argv + ["--compressor", "nmf", "--feature", "lms"]) == 2
         assert "stage 'compression' failed: NMF needs nonnegative input" in capsys.readouterr().err
         assert not [p for p in failing_run.iterdir() if p.is_file()]
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]  # nor in a sweep run not reached
 
     def test_silent_song_under_pca_is_one_segment(self, silent_song_dir, tmp_path, capsys):
         # Every PCA component of silence is at the rounding floor, so H is
@@ -837,6 +849,7 @@ class TestCli:
         (["--compressor", "ae", "--ae-max-epochs=-2"], None, "ae_max_epochs must be >= 1, got -2"),
         (["--compressor", "ae", "--subdivision", "90"], None, "subdivision must be divisible by 4, got 90"),
         ([], "compressor = ae\nsubdivision = 90\n", "subdivision must be divisible by 4, got 90"),
+        (["--tolerances=0.5,0.5000001,3"], None, "tolerances 0.5 and 0.5000001 share the report key '0.5'"),
     ])
     def test_bad_setting_exits_2_before_any_stage(self, song_dir, tmp_path, capsys, flags, config, message):
         if config is not None:
@@ -850,6 +863,13 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"barseg: error: {message}\n"
         assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_rejects_tolerances_that_share_a_key(self, song_dir, tmp_path, capsys):
+        ann = str(song_dir / "annotations.txt")
+        rc = cli.main(["eval", ann, ann, "--tolerances", "0.5,0.5000001,3", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "barseg: error: tolerances 0.5 and 0.5000001 share the report key '0.5'\n")
         assert not (tmp_path / "out").exists()
 
     def test_bad_dc_sweep_names_flag(self, song_dir, tmp_path, capsys):
