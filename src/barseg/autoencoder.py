@@ -21,10 +21,16 @@ from the unflatten to the output. The two dense layers index their weights
 by the channels-first (NCHW) position, so the flatten and the unflatten
 cross the bottleneck in that order. Only `backward_batch` runs the layers
 in training mode, which keeps what backward reads until backward has read
-it; the epoch-end loss pass and the final encoding keep nothing. Outside
-training mode a `Conv2D` unfolds 8 items at a time into one output, so
-neither holds the im2col matrix of a whole batch. The dense layers keep
-the full batch: their GEMMs round differently at other batch sizes.
+it; the epoch-end loss pass and the final encoding keep nothing. The
+convolutions of the network in training unfold into im2col buffers that
+`train_single_song` lends them for the run (see `Conv2D`). Outside
+training mode `encode_batch` runs every layer before `fc_enc`, and
+`decode_batch` both transposed convolutions with their ReLUs, 8 items at
+a time, each writing into one output for the batch. So no inference pass
+holds an im2col matrix, a convolution output or a reconstruction of a
+whole batch beside that output. The two dense layers, the ReLU after
+`fc_dec` and the unflatten take the whole batch: a dense GEMM rounds
+differently at other batch sizes.
 
 The epoch-end loss pass feeds only the plateau schedule, the early stop
 and the best-state copy. Each runs on a second network, the snapshot,
@@ -59,13 +65,14 @@ def _out_size(h, w, kh, kw, stride, pad):
     return (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
 
 
-def _im2col(x, kh, kw, stride, pad):
+def _im2col(x, kh, kw, stride, pad, buf=None):
     """Unfold x (N,H,W,C) into (N*h_out*w_out, C*kh*kw) patch rows.
 
     The sliding window is taken over the flat positions of one padded
     item, and one take gathers those positions from every item. That
     copies faster than the window view of x itself, whose innermost runs
-    are only kw elements long.
+    are only kw elements long. Given a flat float64 `buf` of at least
+    that many values, the rows fill its head instead of a new array.
     """
     n, h, w, ci = x.shape
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
@@ -73,7 +80,10 @@ def _im2col(x, kh, kw, stride, pad):
     pos = np.arange(xp[0].size).reshape(xp.shape[1:])
     win = np.lib.stride_tricks.sliding_window_view(pos, (kh, kw), axis=(0, 1))
     win = win[::stride, ::stride][:h_out, :w_out].reshape(h_out * w_out, ci * kh * kw)
-    col = np.take(xp.reshape(n, -1), win, axis=1)
+    out = None if buf is None else buf[: n * win.size].reshape((n,) + win.shape)
+    # Every position is in range, so "wrap" wraps none; it only spares the
+    # copy through a temporary that the default mode makes for `out`.
+    col = np.take(xp.reshape(n, -1), win, axis=1, out=out, mode="wrap")
     return col.reshape(n * h_out * w_out, ci * kh * kw), h_out, w_out
 
 
@@ -89,16 +99,16 @@ def _col2im(gcol, in_shape, kh, kw, stride, pad):
     return gxp[:, pad : pad + h, pad : pad + w]
 
 
-def conv2d(x, K, stride=1, pad=1):
+def conv2d(x, K, stride=1, pad=1, buf=None):
     """Cross-correlation of x (N,H,W,Ci) with K (Co,Ci,kh,kw).
 
     Returns (out, col): col is the im2col matrix of x, which the kernel
-    gradient reuses.
+    gradient reuses, in the head of `buf` when one is given (see _im2col).
     """
     n = x.shape[0]
     co, ci, kh, kw = K.shape
     assert x.shape[3] == ci, f"channel mismatch {x.shape[3]} vs {ci}"
-    col, h_out, w_out = _im2col(x, kh, kw, stride, pad)
+    col, h_out, w_out = _im2col(x, kh, kw, stride, pad, buf)
     out = col @ K.reshape(co, -1).T
     return out.reshape(n, h_out, w_out, co), col
 
@@ -176,27 +186,28 @@ class ParamLayer(Layer):
         return {self.name + ".W": self.W, self.name + ".b": self.b}
 
 
-# Items per im2col block of an inference conv. At 80 x 96 bars one block's
-# im2col matrix of conv1 or conv2 is 4.4 MB, against 17.7 MB for 32 bars.
-_INFER_BLOCK = 8
-
-
 class Conv2D(ParamLayer):
+    """Stride-1 3x3 convolution with zero padding 1.
+
+    `col_buf` is None, or a flat float64 buffer that `train_single_song`
+    lends for the run: a training pass then unfolds its batch into the
+    head of that buffer rather than into a new im2col matrix. glibc's
+    malloc returns free heap to the system once it exceeds twice the
+    largest mapped block freed so far. With inference in blocks of
+    _INFER_BLOCK items that block is one 8-item im2col matrix, and a
+    training step's temporaries, fresh matrices included, came to just
+    over twice that, so each step gave them back and faulted them in
+    again.
+    """
+
     def __init__(self, c_in, c_out, rng, name):
         super().__init__(name, rng, (c_out, c_in, 3, 3), c_in * 9, c_out)
+        self.col_buf = None
 
     def forward(self, x, train=False):
+        out, col = conv2d(x, self.W, buf=self.col_buf if train else None)
         if train:
-            out, self._col = conv2d(x, self.W)
-            self._in_hw = x.shape[1:3]
-        else:
-            # Inference keeps no im2col matrix, so it unfolds _INFER_BLOCK items
-            # at a time into one output. A GEMM row gives the same bytes at any
-            # block size, and `workers.spans` merges a short tail block into the
-            # one before.
-            out = np.empty(x.shape[:3] + (len(self.W),))
-            for start, stop in workers.spans(len(x), _INFER_BLOCK):
-                out[start:stop] = conv2d(x[start:stop], self.W)[0]
+            self._col, self._in_hw = col, x.shape[1:3]
         return _add_bias(out, self.b)
 
     def param_grads(self, gy, grads):
@@ -318,6 +329,27 @@ class Unflatten(Flatten):
 # Network
 # ---------------------------------------------------------------------------
 
+# Items per block of an inference pass through the per-bar layers. At
+# 80 x 96 bars one block's im2col matrix of conv1 or conv2 is 4.4 MB,
+# against 17.7 MB for 32 bars. Every GEMM of these layers gives the bytes
+# of the whole batch's GEMM at blocks of 8 and more (`workers.spans` merges
+# a short tail): blocks of 4 change conv2's bytes on 8 x 8 bars, and
+# blocks of 2 or 3 the transposed convolutions' bytes on 80 x 96 bars.
+_INFER_BLOCK = 8
+
+
+def _blocks(n, train):
+    """Item spans of a pass through the per-bar layers: the whole batch in training."""
+    return [(0, n)] if train else workers.spans(n, _INFER_BLOCK)
+
+
+def _forward(layers, h, train):
+    """h run through `layers` in order."""
+    for layer in layers:
+        h = layer.forward(h, train)
+    return h
+
+
 class AENetwork:
     """Convolutional autoencoder for f x s bar patches."""
 
@@ -372,16 +404,20 @@ class AENetwork:
 
     def encode_batch(self, x, train=False):
         """x: (N, f, s) -> (N, d_c). Latent layer is linear by design."""
-        h = self._pad_input(np.asarray(x, dtype=np.float64)[..., None])
-        for layer in self.encoder:
-            h = layer.forward(h, train)
-        return h
+        x = np.asarray(x, dtype=np.float64)
+        *per_bar, fc_enc = self.encoder
+        flat = np.empty((len(x), self.flat_size))
+        for start, stop in _blocks(len(x), train):
+            flat[start:stop] = _forward(per_bar, self._pad_input(x[start:stop, ..., None]), train)
+        return fc_enc.forward(flat, train)
 
     def decode_batch(self, z, train=False):
-        """(N, d_c) -> (N, f, s), nonnegative thanks to the final ReLU."""
-        for layer in self.decoder:
-            z = layer.forward(z, train)
-        return z[:, : self.n_bins, :, 0]
+        """(N, d_c) -> a fresh (N, f, s), nonnegative thanks to the final ReLU."""
+        h = _forward(self.decoder[:3], z, train)  # fc_dec, its ReLU and the unflatten
+        out = np.empty((len(z), self.n_bins, self.subdivision))
+        for start, stop in _blocks(len(z), train):
+            out[start:stop] = _forward(self.decoder[3:], h[start:stop], train)[:, : self.n_bins, :, 0]
+        return out
 
     def forward_batch(self, x, train=False):
         z = self.encode_batch(x, train)
@@ -391,18 +427,18 @@ class AENetwork:
         """Gradients of the batch-mean reconstruction MSE for every parameter."""
         x = np.asarray(x, dtype=np.float64)
         n_batch = x.shape[0]
-        z, x_hat = self.forward_batch(x, train=True)
+        _, err = self.forward_batch(x, train=True)
+        err -= x
         grads = {}
-        gy = 2.0 * (x_hat - x) / (x.shape[1] * x.shape[2] * n_batch)
         # Undo the output crop: padded rows never contribute to the loss.
         g = np.zeros((n_batch, self.f_pad, self.subdivision, 1))
-        g[:, : self.n_bins, :, 0] = gy
+        g[:, : self.n_bins, :, 0] = 2.0 * err / (x.shape[1] * x.shape[2] * n_batch)
         layers = self.encoder + self.decoder
         for layer in reversed(layers[1:]):
             g = layer.backward(g, grads)
         # Nothing reads the gradient with respect to the data.
         layers[0].param_grads(g, grads)
-        return grads, float(np.mean((x_hat - x) ** 2))
+        return grads, float(np.mean(err**2))
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +517,13 @@ class TrainResult:
 
 
 def _full_loss(net, bars, batch_size=32):
+    """Mean squared reconstruction error over all bars, taken `batch_size` bars at a time."""
     total = 0.0
     for start in range(0, len(bars), batch_size):
         chunk = bars[start : start + batch_size]
-        _, x_hat = net.forward_batch(chunk)
-        total += float(np.sum((chunk - x_hat) ** 2))
+        _, err = net.forward_batch(chunk)
+        np.subtract(chunk, err, out=err)
+        total += float(np.sum(np.square(err, out=err)))
     return total / bars.size
 
 
@@ -515,6 +553,10 @@ def train_single_song(bars, d_c, seed=42, max_epochs=1000, batch_size=8):
     schedule = PlateauSchedule()
     # Every loss pass runs on this copy of the parameters, on either thread.
     snapshot = AENetwork(f, s, d_c)
+    # Both convs take f_pad * s values per bar and unfold each into 9.
+    convs = [layer for layer in net.encoder if isinstance(layer, Conv2D)]
+    for conv in convs:
+        conv.col_buf = np.empty(9 * min(batch_size, b) * net.f_pad * s)
 
     best_state, best_loss = net.get_state(), _full_loss(net, bars)
     trace = []
@@ -551,6 +593,8 @@ def train_single_song(bars, d_c, seed=42, max_epochs=1000, batch_size=8):
                 pending = None
                 if book(_full_loss(snapshot, bars)):
                     break
+    for conv in convs:
+        conv.col_buf = None
     net.set_state(best_state)
     embedding = net.encode_batch(bars).T
     return TrainResult(embedding, np.asarray(trace), best_loss)

@@ -1,4 +1,6 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and helpers shared by the test modules."""
+
+import tracemalloc
 
 import pytest
 
@@ -37,3 +39,13 @@ def set_blas_threads():
         yield set_threads
     finally:
         put(before)
+
+
+def traced_peak(fn):
+    """The `tracemalloc` peak, in bytes, of the call fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

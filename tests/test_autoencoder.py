@@ -1,12 +1,13 @@
 import itertools
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from barseg import autoencoder as ae
 from barseg import bars, features, synthetic, workers
+
+from conftest import traced_peak
 
 
 class TestInitNetwork:
@@ -461,6 +462,16 @@ class NCHWNetwork:
         return grads, float(np.mean((x_hat - x) ** 2))
 
 
+def nchw_full_loss(net, bars):
+    """The full-song loss of `ae._full_loss`, run on the NCHW network."""
+    total = 0.0
+    for start in range(0, len(bars), 32):
+        chunk = bars[start : start + 32]
+        _, x_hat = net.forward_batch(chunk)
+        total += float(np.sum((chunk - x_hat) ** 2))
+    return total / bars.size
+
+
 def nchw_train_single_song(bars, d_c, seed=42, max_epochs=1000, batch_size=8):
     """The training loop of `ae.train_single_song`, run on the NCHW network."""
     b, f, s = bars.shape
@@ -470,12 +481,7 @@ def nchw_train_single_song(bars, d_c, seed=42, max_epochs=1000, batch_size=8):
     schedule = ae.PlateauSchedule()
 
     def full_loss():
-        total = 0.0
-        for start in range(0, b, 32):
-            chunk = bars[start : start + 32]
-            _, x_hat = net.forward_batch(chunk)
-            total += float(np.sum((chunk - x_hat) ** 2))
-        return total / bars.size
+        return nchw_full_loss(net, bars)
 
     best_state, best_loss = net.get_state(), full_loss()
     trace, lr, epochs_run = [], schedule.lr, 0
@@ -561,18 +567,36 @@ class TestBlockwiseInferenceConv:
         assert_same_bytes(z, ref_z, "z")
         assert_same_bytes(x_hat, ref_x_hat, "x_hat")
 
+    @pytest.mark.parametrize("n_items", [1, 7, 8, 9, 17, 33])
+    @pytest.mark.parametrize("n_bins,subdivision,d_c", [(80, 96, 8), (12, 16, 3), (10, 8, 2)])
+    def test_inference_passes_byte_equal(self, n_bins, subdivision, d_c, n_items):
+        # Fewer than 16 items make one block; 17 make blocks of 8 and 9. The
+        # loss pass over 33 runs a chunk of 32 in blocks of 8 and a 1-item tail.
+        net = ae.AENetwork(n_bins, subdivision, d_c, seed=23)
+        ref = NCHWNetwork(net)
+        x = np.random.default_rng(24).random((n_items, n_bins, subdivision))
+        assert_same_bytes(net.encode_batch(x), ref.encode_batch(x), "encode_batch")
+        z, x_hat = net.forward_batch(x)
+        ref_z, ref_x_hat = ref.forward_batch(x)
+        assert_same_bytes(z, ref_z, "z")
+        assert_same_bytes(x_hat, ref_x_hat, "x_hat")
+        assert ae._full_loss(net, x) == nchw_full_loss(ref, x)
+
     def test_loss_pass_peak_memory(self):
         # One 32-bar im2col matrix of conv1 is 17.7 MB; the pass peaked at
-        # 26.3 MiB with it, and at 15.5 MiB with blocks of 8 bars.
+        # 26.3 MiB with it, at 15.5 MiB with the convs' im2col in blocks of
+        # 8 bars, and at 8.5 MiB with every per-bar layer in such blocks.
         net = ae.AENetwork(80, 96, 8, seed=17)
         bars = np.random.default_rng(18).random((32, 80, 96))
-        tracemalloc.start()
-        try:
-            ae._full_loss(net, bars)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20 * 2**20
+        assert traced_peak(lambda: ae._full_loss(net, bars)) < 10 * 2**20
+
+    def test_final_encoding_peak_memory(self):
+        # 120 bars: the (120, 7680) flatten output is 7.0 MiB. With whole-batch
+        # pools, ReLUs and biases the encoding peaked at 49.2 MiB, and at
+        # 13.7 MiB with every per-bar layer in blocks of 8 bars.
+        net = ae.AENetwork(80, 96, 8, seed=17)
+        bars = np.random.default_rng(18).random((120, 80, 96))
+        assert traced_peak(lambda: net.encode_batch(bars)) < 20 * 2**20
 
 
 def pin_workers(monkeypatch, count):

@@ -1,11 +1,12 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from barseg import bars, pipeline, synthetic
 from barseg.features import AudioSignal, FeatureFrames, compute_feature
+
+from conftest import traced_peak
 
 
 class ArrayFeature:
@@ -259,11 +260,10 @@ class TestBarwiseFromFeatureFrames:
         # 600 s in 32 bars: the dense power spectrogram alone would take 6.3 GiB.
         samples, grid, _ = synthetic.make_song(bar_seconds=600 / 32)
         signal = AudioSignal(samples, 44100)
-        tracemalloc.start()
-        try:
+
+        def build():
             tf = bars.barwise_tf(FeatureFrames(signal, "nnlms"), grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert tf.values.shape == (32, 80 * 96)
+            assert tf.values.shape == (32, 80 * 96)
+
+        peak = traced_peak(build)
         assert peak < 3 * samples.nbytes, f"peak {peak / 2**20:.0f} MB for {samples.nbytes / 2**20:.0f} MB of samples"

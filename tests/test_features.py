@@ -5,7 +5,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +12,8 @@ import pytest
 import scipy.io.wavfile
 
 from barseg import bars, cli, features, pipeline, workers
+
+from conftest import traced_peak
 
 # Every kind FeatureFrames computes: the power STFT and the features a run can ask for.
 KINDS = ("stft_power",) + pipeline.FEATURES
@@ -273,13 +274,11 @@ class TestDecodePerSubBlock:
         rng = np.random.default_rng(14)
         scipy.io.wavfile.write(path, 44100, rng.integers(-20000, 20000, (60 * 44100, 2)).astype(np.int16))
         grid = bars.BarGrid(np.arange(31) * 2.0)
-        tracemalloc.start()
-        try:
-            tf = bars.barwise_tf(features.FeatureFrames(features.load_wav(path), "nnlms"), grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert tf.n_bars == 30
+
+        def build():
+            assert bars.barwise_tf(features.FeatureFrames(features.load_wav(path), "nnlms"), grid).n_bars == 30
+
+        peak = traced_peak(build)
         assert peak < os.path.getsize(path) + 12 * 2**20
 
 
@@ -495,13 +494,7 @@ class TestFeatureFramesChunks:
         x = np.random.default_rng(10).uniform(-1, 1, n_frames * 32 + 4096)
         feature = features.FeatureFrames(features.AudioSignal(x, 44100), "nnlms")
         frames = np.arange(n_frames)
-        tracemalloc.start()
-        try:
-            feature.at(frames)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1025 * n_frames * 8 / 2
+        assert traced_peak(lambda: feature.at(frames)) < 1025 * n_frames * 8 / 2
 
 
 class TestFeatureFramesWorkers:

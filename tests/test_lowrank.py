@@ -5,6 +5,8 @@ import pytest
 
 from barseg import autoencoder, lowrank, segment
 
+from conftest import traced_peak
+
 
 def eckart_young_error(X, d_c):
     """Oracle: best rank-d_c error of the centered matrix from the
@@ -408,15 +410,8 @@ class TestNMFWorkingSet:
             assert got.tobytes() == expected.tobytes()
 
     def test_peak_memory_is_one_buffer_beside_w(self):
-        import tracemalloc
-
         X = self.bars("F")
         (n, b), d_c = X.shape, 24
-        tracemalloc.start()
-        try:
-            lowrank.nmf_compress(X, d_c, max_iters=20)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: lowrank.nmf_compress(X, d_c, max_iters=20))
         # 3.29 MiB here; the four n x b temporaries took it to 6.18 MiB.
         assert peak < 1.1 * 8 * (n * b + n * d_c)

@@ -2,7 +2,6 @@ import json
 import os
 import struct
 import tempfile
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from barseg import features, matio
+
+from conftest import traced_peak
 
 
 def round_trip(write, read, matrix, name):
@@ -40,13 +41,7 @@ class TestBseg:
 
     def test_write_copies_no_matrix(self, tmp_path):
         m = np.random.default_rng(1).random((80, 20000))
-        tracemalloc.start()
-        try:
-            matio.write_bseg(tmp_path / "m.bseg", m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < m.nbytes / 16
+        assert traced_peak(lambda: matio.write_bseg(tmp_path / "m.bseg", m)) < m.nbytes / 16
         assert matio.read_bseg(tmp_path / "m.bseg").tobytes() == m.tobytes()
 
     @pytest.mark.parametrize("kind", ["chroma", "mel", "lms", "nnlms", "mfcc"])
@@ -75,15 +70,13 @@ class TestBseg:
         # A 76-byte file whose header declares side x side values.
         path = tmp_path / "m.bseg"
         path.write_bytes(b"BSEG" + struct.pack("<II", side, side) + bytes(64))
-        tracemalloc.start()
-        try:
+
+        def read():
             with pytest.raises(ValueError) as excinfo:
                 matio.read_bseg(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert str(excinfo.value) == f"{path}: truncated BSEG payload"
-        assert peak < 1 << 20
+            assert str(excinfo.value) == f"{path}: truncated BSEG payload"
+
+        assert traced_peak(read) < 1 << 20
 
     @settings(derandomize=True, deadline=None)
     @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
