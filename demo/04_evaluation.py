@@ -15,8 +15,8 @@ from barseg.bars import BarGrid
 
 def show(label, est, ref, tol):
     res = evaluate.hit_rate(np.asarray(est), np.asarray(ref), tol)
-    print(f"{label} (tol {tol}s): P={res.precision:.3f} R={res.recall:.3f} "
-          f"F={res.f_measure:.3f} matched={res.n_matched}")
+    print(f"{label} (tol {tol}s): P={res['precision']:.3f} R={res['recall']:.3f} "
+          f"F={res['f_measure']:.3f} matched={res['n_matched']}")
 
 
 def main():

@@ -49,7 +49,6 @@ class BarwiseTF:
     values: np.ndarray
     n_bins: int
     subdivision: int
-    feature_kind: str
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -112,7 +111,10 @@ def select_frames(f_start, f_end, subdivision):
     Returns f_start + floor(k * (f_end - f_start) / subdivision) for
     0 <= k < subdivision; repeats occur when the bar is shorter than the
     subdivision. Column arrays of starts and ends give one row per range.
+    All three must be signed integers (with uint64 the sum would be float64).
     """
+    if any(np.asarray(v).dtype.kind != "i" for v in (f_start, f_end, subdivision)):
+        raise ValueError(f"frame ranges and subdivision must be signed integers, got subdivision={subdivision!r}")
     if np.any(f_start < 0) or np.any(f_end <= f_start):
         raise ValueError(f"invalid frame range [{f_start}, {f_end})")
     if subdivision < 1:
@@ -139,4 +141,4 @@ def barwise_tf(spec, grid, subdivision=DEFAULT_SUBDIVISION):
     values = spec.at(plan.ravel())  # f x (b*s), bar-major columns
     n_bins = values.shape[0]
     rows = values.reshape(n_bins, grid.n_bars, subdivision).transpose(1, 0, 2).reshape(grid.n_bars, -1)
-    return BarwiseTF(rows, n_bins=n_bins, subdivision=subdivision, feature_kind=spec.feature_kind)
+    return BarwiseTF(rows, n_bins=n_bins, subdivision=subdivision)

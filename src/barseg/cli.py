@@ -68,7 +68,7 @@ def _build_pipeline_config(args, file_keys=None):
 def _add_common(parser, with_compressor=True):
     parser.add_argument("--out", dest="output_dir", metavar="OUT", default=None)
     parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--feature", default=None, choices=list(pipeline.FEATURES))
+    parser.add_argument("--feature", default=None, choices=list(features.FEATURES))
     if with_compressor:
         parser.add_argument("--subdivision", type=int, default=None, help="frames per bar (default 96)")
         parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 42)")
@@ -109,12 +109,13 @@ def cmd_segment(args):
     runs = [("", base)]
     if args.dc_sweep:
         sweep = _convert("command line", "dc_sweep", lambda v: [int(t) for t in v.split(",")], args.dc_sweep)
-        # Each config checks its d_c here, before the first run writes anything.
+        # Each value runs once, in the order it first appears. Each config
+        # checks its d_c here, before the first run writes anything.
         # A run is named after its output subdirectory.
         runs = [
             (f"dc{d_c}", dataclasses.replace(
                 base, d_c=d_c, output_dir=base.output_dir and os.path.join(base.output_dir, f"dc{d_c}")))
-            for d_c in sweep
+            for d_c in dict.fromkeys(sweep)
         ]
     for k, (run, cfg) in enumerate(runs):
         try:

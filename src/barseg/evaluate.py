@@ -7,7 +7,7 @@ JSON-ready dict keyed by tolerance.
 """
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,43 +29,37 @@ class BoundarySet:
         return len(self.times)
 
 
-@dataclass
-class ToleranceResult:
-    tolerance: float
-    precision: float
-    recall: float
-    f_measure: float
-    n_est: int
-    n_ref: int
-    n_matched: int
-    matched_pairs: list
-
-    def to_dict(self):
-        """The fields but `matched_pairs`, in order, with `tolerance` as "tol"."""
-        out = asdict(self)
-        del out["matched_pairs"]
-        return {"tol": out.pop("tolerance"), **out}
-
-
 def hit_rate(est, ref, tol):
-    """Precision/recall/F of est vs ref boundaries at a tolerance.
+    """Precision/recall/F of est vs ref boundaries at a tolerance, as the report dict
+    {"tol", "precision", "recall", "f_measure", "n_est", "n_ref", "n_matched"}.
 
-    Matching is one-to-one: each estimated boundary can claim at most one
-    reference and vice versa. It is greedy on the sorted times, pairing
-    the earliest remaining est and ref whenever they lie within tol. That
-    gives a maximum matching, because each time's tolerance window is an
-    interval of the same width (Glover, Naval Res. Logist. Q. 14, 1967).
-    Times may come unsorted or repeated; `matched_pairs` holds original
-    (est, ref) indices in est order. Empty inputs yield 0 with a warning.
+    Boundaries match one-to-one (`_matched_pairs`), and times may come
+    unsorted or repeated. Empty inputs yield 0 with a warning.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     est_t = np.asarray(est.times if isinstance(est, BoundarySet) else est, dtype=np.float64)
     ref_t = np.asarray(ref.times if isinstance(ref, BoundarySet) else ref, dtype=np.float64)
-    if len(est_t) == 0 or len(ref_t) == 0:
+    n_est, n_ref = len(est_t), len(ref_t)
+    if not (n_est and n_ref):
         warnings.warn("hit_rate called with an empty boundary set; reporting zeros")
-        return ToleranceResult(tol, 0.0, 0.0, 0.0, len(est_t), len(ref_t), 0, [])
+    n_matched = len(_matched_pairs(est_t, ref_t, tol))
+    precision = n_matched / n_est if n_est else 0.0
+    recall = n_matched / n_ref if n_ref else 0.0
+    f_measure = 2 * precision * recall / (precision + recall) if n_matched else 0.0
+    return {"tol": tol, "precision": precision, "recall": recall, "f_measure": f_measure,
+            "n_est": n_est, "n_ref": n_ref, "n_matched": n_matched}
 
+
+def _matched_pairs(est_t, ref_t, tol):
+    """A maximum one-to-one matching of est_t and ref_t within tol, as sorted
+    (est index, ref index) pairs.
+
+    It is greedy on the sorted times, pairing the earliest remaining est
+    and ref whenever they lie within tol. That gives a maximum matching,
+    because each time's tolerance window is an interval of the same width
+    (Glover, Naval Res. Logist. Q. 14, 1967).
+    """
     est_order, ref_order = np.argsort(est_t, kind="stable"), np.argsort(ref_t, kind="stable")
     e, r = est_t[est_order].tolist(), ref_t[ref_order].tolist()
     pairs = []
@@ -78,12 +72,7 @@ def hit_rate(est, ref, tol):
             i += 1
         else:
             j += 1
-    pairs.sort()
-    n_matched = len(pairs)
-    precision = n_matched / len(est_t)
-    recall = n_matched / len(ref_t)
-    f_measure = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return ToleranceResult(tol, precision, recall, f_measure, len(est_t), len(ref_t), n_matched, pairs)
+    return sorted(pairs)
 
 
 def tolerance_keys(tolerances):
@@ -99,8 +88,8 @@ def tolerance_keys(tolerances):
 
 
 def evaluate_boundaries(est, ref, tolerances=DEFAULT_TOLERANCES):
-    """{key: hit_rate(est, ref, tol).to_dict()} of `tolerance_keys`, in increasing tolerance order."""
-    return {key: hit_rate(est, ref, tol).to_dict() for key, tol in tolerance_keys(sorted(tolerances)).items()}
+    """{key: hit_rate(est, ref, tol)} of `tolerance_keys`, in increasing tolerance order."""
+    return {key: hit_rate(est, ref, tol) for key, tol in tolerance_keys(sorted(tolerances)).items()}
 
 
 def align_to_downbeats(annot, grid):

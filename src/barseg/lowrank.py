@@ -11,7 +11,6 @@ import numpy as np
 
 @dataclass
 class LowRankModel:
-    kind: str
     W: np.ndarray
     H: np.ndarray
     mu: np.ndarray
@@ -50,7 +49,10 @@ def pca_compress(X, d_c):
         raise ValueError(f"d_c={d_c} out of range for a {n}x{b} matrix")
     mu = X.mean(axis=1)
     centered = X - mu[:, None]
-    exponent = -np.frexp(np.abs(centered).max())[1]
+    peak = np.abs(centered).max()
+    if not np.isfinite(peak):  # so X holds a NaN or an infinity, or its row means overflow
+        raise ValueError("X must be finite")
+    exponent = -np.frexp(peak)[1]
     scaled = np.ldexp(centered, exponent)
     gram = scaled.T @ scaled
     lam, V = np.linalg.eigh(gram)
@@ -63,7 +65,7 @@ def pca_compress(X, d_c):
     signs[signs == 0] = 1.0
     W = W * signs
     H = W.T @ centered
-    return LowRankModel(kind="pca", W=W, H=H, mu=mu)
+    return LowRankModel(W=W, H=H, mu=mu)
 
 
 def nmf_compress(X, d_c, max_iters=500, tol=1e-8, seed=42, init_W=None, init_H=None):
@@ -78,6 +80,8 @@ def nmf_compress(X, d_c, max_iters=500, tol=1e-8, seed=42, init_W=None, init_H=N
     """
     X = np.asarray(X, dtype=np.float64)
     n, b = X.shape
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite")
     if np.any(X < 0):
         raise ValueError("NMF requires a nonnegative input matrix")
     if not (1 <= d_c <= min(n, b)):
@@ -89,8 +93,7 @@ def nmf_compress(X, d_c, max_iters=500, tol=1e-8, seed=42, init_W=None, init_H=N
         raise ValueError("initial factors must be nonnegative")
     if not X.any():
         # HALS would leave H at its random start: the first W sweep takes W to about 1e-16.
-        return LowRankModel(kind="nmf", W=np.zeros((n, d_c)), H=np.zeros((d_c, b)), mu=np.zeros(n),
-                            loss_trace=np.array([0.0]))
+        return LowRankModel(W=np.zeros((n, d_c)), H=np.zeros((d_c, b)), mu=np.zeros(n), loss_trace=np.array([0.0]))
 
     # One n x b scratch buffer gives ||X||^2 and the starting residual. X * X
     # takes X's memory order and X - W @ H the C order of W @ H, and each sum
@@ -122,7 +125,7 @@ def nmf_compress(X, d_c, max_iters=500, tol=1e-8, seed=42, init_W=None, init_H=N
             break
         if cur <= 1e-16 * max(norm_x_sq, 1e-300):
             break
-    return LowRankModel(kind="nmf", W=Wt.T, H=H, mu=np.zeros(n), loss_trace=np.array(trace))
+    return LowRankModel(W=Wt.T, H=H, mu=np.zeros(n), loss_trace=np.array(trace))
 
 
 def _hals_rows(F, G, P, tmp):

@@ -17,11 +17,10 @@ import numpy as np
 
 from . import autoencoder, bars, evaluate, features, lowrank, matio, segment, workers
 
-FEATURES = ("chroma", "mel", "lms", "nnlms", "mfcc")
 COMPRESSORS = ("pca", "nmf", "ae", "none")
 # The per-tolerance means of a batch, in aggregate.json and aggregate.csv.
 _MEAN_METRICS = ("precision", "recall", "f_measure")
-# The artifacts run_song writes for a song, <song><suffix>.
+# The artifacts run_song writes for a song, <song><suffix>, in the order it writes them.
 _ARTIFACTS = (".boundaries.txt", ".autosim.pgm", ".result.json")
 
 
@@ -44,7 +43,7 @@ class PipelineConfig:
     ae_batch_size: int = 8
 
     def __post_init__(self):
-        if self.feature not in FEATURES:
+        if self.feature not in features.FEATURES:
             raise ValueError(f"unknown feature {self.feature!r}")
         if self.compressor not in COMPRESSORS:
             raise ValueError(f"unknown compressor {self.compressor!r}")
@@ -181,14 +180,15 @@ def _run_stages(cfg, song_id):
     if cfg.output_dir:
         with _stage("output"):
             os.makedirs(cfg.output_dir, exist_ok=True)
-            prefix = os.path.join(cfg.output_dir, song_id)
+            boundaries_path, autosim_path, result_path = (
+                os.path.join(cfg.output_dir, song_id + suffix) for suffix in _ARTIFACTS)
             # The result JSON vouches for the other two, so an earlier run's
             # goes before they change and this run's comes last.
             with contextlib.suppress(FileNotFoundError):
-                os.remove(prefix + ".result.json")
-            matio.write_in_place(prefix + ".boundaries.txt", matio.write_text, _boundary_text(seg.boundaries_seconds))
-            matio.write_in_place(prefix + ".autosim.pgm", matio.write_pgm, A)
-            matio.write_in_place(prefix + ".result.json", matio.write_json, result)
+                os.remove(result_path)
+            matio.write_in_place(boundaries_path, matio.write_text, _boundary_text(seg.boundaries_seconds))
+            matio.write_in_place(autosim_path, matio.write_pgm, A)
+            matio.write_in_place(result_path, matio.write_json, result)
     return result
 
 

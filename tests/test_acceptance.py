@@ -189,22 +189,22 @@ class TestAcceptance:
             est = ref = np.array([0.0, 10.0, 20.0])
             for tol in (0.5, 3.0):
                 res = evaluate.hit_rate(est, ref, tol)
-                assert (res.precision, res.recall, res.f_measure) == (1.0, 1.0, 1.0)
+                assert (res["precision"], res["recall"], res["f_measure"]) == (1.0, 1.0, 1.0)
 
             est = np.array([0.0, 10.0, 20.0])
             ref = np.array([0.0, 10.4, 20.0])
-            assert evaluate.hit_rate(est, ref, 0.5).f_measure == 1.0
+            assert evaluate.hit_rate(est, ref, 0.5)["f_measure"] == 1.0
             res = evaluate.hit_rate(est, ref, 0.3)
-            assert res.n_matched == 2
-            assert res.precision == pytest.approx(2 / 3)
-            assert res.recall == pytest.approx(2 / 3)
-            assert res.f_measure == pytest.approx(2 / 3)
+            assert res["n_matched"] == 2
+            assert res["precision"] == pytest.approx(2 / 3)
+            assert res["recall"] == pytest.approx(2 / 3)
+            assert res["f_measure"] == pytest.approx(2 / 3)
 
             res = evaluate.hit_rate(np.array([10.0, 10.2]), np.array([10.1]), 0.5)
-            assert res.n_matched == 1
-            assert res.precision == 0.5
-            assert res.recall == 1.0
-            assert res.f_measure == pytest.approx(2 / 3)
+            assert res["n_matched"] == 1
+            assert res["precision"] == 0.5
+            assert res["recall"] == 1.0
+            assert res["f_measure"] == pytest.approx(2 / 3)
 
     def test_performance_envelope(self):
         with criterion("compression timing: pca < 1s, nmf < 3s on 7680x100, d_c=24"):

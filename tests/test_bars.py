@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from barseg import bars, pipeline, synthetic
-from barseg.features import AudioSignal, FeatureFrames, compute_feature
+from barseg import bars, synthetic
+from barseg.features import FEATURES, AudioSignal, FeatureFrames, compute_feature
 
 from conftest import traced_peak
 
@@ -12,19 +12,18 @@ from conftest import traced_peak
 class ArrayFeature:
     """A feature held as an f x T array, with the interface `barwise_tf` reads."""
 
-    def __init__(self, values, hop, sample_rate, feature_kind):
+    def __init__(self, values, hop, sample_rate):
         self.values = values
         self.hop = hop
         self.sample_rate = sample_rate
-        self.feature_kind = feature_kind
         self.n_frames = values.shape[1]
 
     def at(self, frames):
         return self.values[:, frames]
 
 
-def spec_from(values, hop=32, sr=44100, kind="nnlms"):
-    return ArrayFeature(np.asarray(values, dtype=float), hop, sr, kind)
+def spec_from(values, hop=32, sr=44100):
+    return ArrayFeature(np.asarray(values, dtype=float), hop, sr)
 
 
 class TestBarGrid:
@@ -95,6 +94,14 @@ class TestSelectFrames:
         with pytest.raises(ValueError):
             bars.select_frames(np.array([[0], [5]]), np.array([[5], [5]]), 4)
 
+    @pytest.mark.parametrize("f_start, f_end, subdivision", [
+        (0, 10, 2.5), (0, 10, 4.0), (0, 10, True), (0.0, 10, 4), (np.array([[0], [5]]), np.array([[5.0], [9.0]]), 4),
+        (np.uint64(0), np.uint64(10), 4),
+    ])
+    def test_non_integer_arguments_rejected(self, f_start, f_end, subdivision):
+        with pytest.raises(ValueError, match="frame ranges and subdivision must be signed integers"):
+            bars.select_frames(f_start, f_end, subdivision)
+
     def test_monotone_and_in_range(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -131,7 +138,7 @@ class TestBarwiseTF:
 
     def test_row_length_chroma(self):
         # f=12, s=96 -> rows of length 1152
-        spec = spec_from(np.zeros((12, 2000)), kind="chroma")
+        spec = spec_from(np.zeros((12, 2000)))
         grid = bars.BarGrid([0.0, 1.0])
         tf = bars.barwise_tf(spec, grid, subdivision=96)
         assert tf.values.shape == (1, 1152)
@@ -226,12 +233,12 @@ def song(request):
 
 
 class TestBarwiseFromFeatureFrames:
-    @pytest.mark.parametrize("kind", pipeline.FEATURES)
+    @pytest.mark.parametrize("kind", FEATURES)
     def test_matches_dense_feature(self, one_blas_thread, song, kind):
         name, signal, grid = song
         lazy = bars.barwise_tf(FeatureFrames(signal, kind), grid)
-        dense = bars.barwise_tf(spec_from(compute_feature(signal, kind), kind=kind), grid)
-        assert (lazy.n_bins, lazy.subdivision, lazy.feature_kind) == (dense.n_bins, dense.subdivision, kind)
+        dense = bars.barwise_tf(spec_from(compute_feature(signal, kind)), grid)
+        assert (lazy.n_bins, lazy.subdivision) == (dense.n_bins, dense.subdivision)
         if name == "short_bars" and kind != "chroma":
             # The last bar's columns sit at the tail of the dense `fb @ power`
             # product, which BLAS may round differently.

@@ -1,4 +1,6 @@
+import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,18 +17,18 @@ class TestHitRate:
         ref = evaluate.BoundarySet(np.array([0.0, 10.0, 20.0]))
         for tol in (0.5, 3.0):
             res = evaluate.hit_rate(est, ref, tol)
-            assert (res.precision, res.recall, res.f_measure) == (1.0, 1.0, 1.0)
+            assert (res["precision"], res["recall"], res["f_measure"]) == (1.0, 1.0, 1.0)
 
     def test_tolerance_sensitivity(self):
         est = evaluate.BoundarySet(np.array([0.0, 10.0, 20.0]))
         ref = evaluate.BoundarySet(np.array([0.0, 10.4, 20.0]))
         res = evaluate.hit_rate(est, ref, 0.5)
-        assert res.f_measure == 1.0
+        assert res["f_measure"] == 1.0
         res = evaluate.hit_rate(est, ref, 0.3)
-        assert res.n_matched == 2
-        assert res.precision == pytest.approx(2 / 3)
-        assert res.recall == pytest.approx(2 / 3)
-        assert res.f_measure == pytest.approx(2 / 3)
+        assert res["n_matched"] == 2
+        assert res["precision"] == pytest.approx(2 / 3)
+        assert res["recall"] == pytest.approx(2 / 3)
+        assert res["f_measure"] == pytest.approx(2 / 3)
 
     def test_one_to_one_matching_not_greedy(self):
         # Both estimates are within tolerance of the single reference;
@@ -34,10 +36,10 @@ class TestHitRate:
         est = evaluate.BoundarySet(np.array([10.0, 10.2]))
         ref = evaluate.BoundarySet(np.array([10.1]))
         res = evaluate.hit_rate(est, ref, 0.5)
-        assert res.n_matched == 1
-        assert res.precision == 0.5
-        assert res.recall == 1.0
-        assert res.f_measure == pytest.approx(2 / 3)
+        assert res["n_matched"] == 1
+        assert res["precision"] == 0.5
+        assert res["recall"] == 1.0
+        assert res["f_measure"] == pytest.approx(2 / 3)
 
     def test_matching_trap_requires_maximum_matching(self):
         # Greedy nearest-neighbor would pair est[0] with ref[0] and leave
@@ -45,7 +47,7 @@ class TestHitRate:
         est = [1.0, 1.1]
         ref = [1.05, 0.6]
         res = evaluate.hit_rate(est, ref, 0.5)
-        assert res.n_matched == 2
+        assert res["n_matched"] == 2
 
     def test_symmetry_precision_recall_swap(self):
         rng = np.random.default_rng(0)
@@ -55,8 +57,8 @@ class TestHitRate:
             for tol in (0.5, 3.0):
                 fwd = evaluate.hit_rate(est, ref, tol)
                 rev = evaluate.hit_rate(ref, est, tol)
-                assert fwd.precision == pytest.approx(rev.recall)
-                assert fwd.recall == pytest.approx(rev.precision)
+                assert fwd["precision"] == pytest.approx(rev["recall"])
+                assert fwd["recall"] == pytest.approx(rev["precision"])
 
     def test_monotone_in_tolerance(self):
         rng = np.random.default_rng(1)
@@ -65,13 +67,13 @@ class TestHitRate:
             ref = np.unique(np.round(rng.random(5) * 20, 3))
             strict = evaluate.hit_rate(est, ref, 0.5)
             lenient = evaluate.hit_rate(est, ref, 3.0)
-            assert lenient.f_measure >= strict.f_measure - 1e-12
-            assert lenient.n_matched <= min(len(est), len(ref))
+            assert lenient["f_measure"] >= strict["f_measure"] - 1e-12
+            assert lenient["n_matched"] <= min(len(est), len(ref))
 
     def test_empty_sets_warn_and_zero(self):
         with pytest.warns(UserWarning):
             res = evaluate.hit_rate(np.array([]), np.array([1.0]), 0.5)
-        assert res.f_measure == 0.0
+        assert res["f_measure"] == 0.0
 
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ValueError):
@@ -82,12 +84,22 @@ class TestHitRate:
         with pytest.raises(ValueError, match="tolerance must be finite and positive"):
             evaluate.hit_rate(np.array([1.0]), np.array([1.0]), tol)
 
-    def test_to_dict_keys_in_field_order(self):
+    def test_report_keys_in_field_order(self):
         res = evaluate.hit_rate([1.0, 2.0], [1.1], 0.5)
-        assert list(res.to_dict().items()) == [
+        assert list(res.items()) == [
             ("tol", 0.5), ("precision", 0.5), ("recall", 1.0), ("f_measure", 2 / 3),
             ("n_est", 2), ("n_ref", 1), ("n_matched", 1),
         ]
+
+    @pytest.mark.parametrize("est, ref", [
+        ([0.0, 10.0, 20.0], [0.0, 10.4, 20.0]), ([10.0, 10.2], [10.1]), ([], [1.0]), ([3.0, 1.0], [1.0, 1.0]),
+    ])
+    def test_hit_rate_is_the_evaluate_boundaries_entry(self, est, ref):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the empty case warns
+            report = evaluate.evaluate_boundaries(np.array(est), np.array(ref), (0.3, 0.5, 3.0))
+            for key, tol in (("0.3", 0.3), ("0.5", 0.5), ("3", 3.0)):
+                assert json.dumps(evaluate.hit_rate(np.array(est), np.array(ref), tol)) == json.dumps(report[key])
 
 
 def brute_force_matching(est, ref, tol):
@@ -120,20 +132,22 @@ class TestHitRateProperties:
     def test_matches_brute_force_and_swaps(self, est, ref, tol):
         fwd = evaluate.hit_rate(est, ref, tol)
         rev = evaluate.hit_rate(ref, est, tol)
-        assert fwd.n_matched == brute_force_matching(est, ref, tol)
-        assert len({i for i, _ in fwd.matched_pairs}) == len({j for _, j in fwd.matched_pairs}) == fwd.n_matched
-        assert all(abs(est[i] - ref[j]) <= tol for i, j in fwd.matched_pairs)
-        assert (fwd.precision, fwd.recall) == (rev.recall, rev.precision)
+        pairs = evaluate._matched_pairs(est, ref, tol)
+        assert fwd["n_matched"] == brute_force_matching(est, ref, tol)
+        assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == fwd["n_matched"]
+        assert all(abs(est[i] - ref[j]) <= tol for i, j in pairs)
+        assert (fwd["precision"], fwd["recall"]) == (rev["recall"], rev["precision"])
 
     @settings(derandomize=True, deadline=None)
     @given(est=raw_time_lists, ref=raw_time_lists, tol=st.sampled_from([0.25, 0.5, 1.0, 3.0]))
     def test_unsorted_and_repeated_times_match_brute_force(self, est, ref, tol):
         # hit_rate accepts raw arrays, so the matching must not assume order.
         res = evaluate.hit_rate(est, ref, tol)
-        assert res.n_matched == brute_force_matching(est, ref, tol)
-        assert len({i for i, _ in res.matched_pairs}) == len({j for _, j in res.matched_pairs}) == res.n_matched
-        assert all(abs(est[i] - ref[j]) <= tol for i, j in res.matched_pairs)
-        assert res.matched_pairs == sorted(res.matched_pairs)
+        pairs = evaluate._matched_pairs(est, ref, tol)
+        assert res["n_matched"] == brute_force_matching(est, ref, tol)
+        assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == res["n_matched"]
+        assert all(abs(est[i] - ref[j]) <= tol for i, j in pairs)
+        assert pairs == sorted(pairs)
 
 
 def align_to_downbeats_reference(annot, grid):

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from barseg import bars, cli, features, pipeline, workers
+from barseg import bars, cli, features, workers
 
 from conftest import traced_peak
 
 # Every kind FeatureFrames computes: the power STFT and the features a run can ask for.
-KINDS = ("stft_power",) + pipeline.FEATURES
+KINDS = ("stft_power",) + features.FEATURES
 
 
 def write_wav(path, samples, sr=44100, dtype=np.int16):
@@ -487,6 +487,23 @@ class TestFeatureFramesChunks:
         expected = features.compute_feature(sig, kind)[:, :0]
         got = features.FeatureFrames(sig, kind).at([])
         assert isinstance(got, np.ndarray) and got.shape == expected.shape
+
+    @pytest.mark.parametrize("frames", [[1.7], [True, False], np.array([1.0, 2.0])])
+    def test_at_rejects_non_integer_indices(self, frames):
+        feature = features.FeatureFrames(features.AudioSignal(np.zeros(5000), 44100), "nnlms")
+        with pytest.raises(ValueError, match="frame indices must be integers"):
+            feature.at(frames)
+
+    def test_filterbank_built_once_per_at_call(self, monkeypatch):
+        calls = []
+        mel_filterbank = features.mel_filterbank
+        monkeypatch.setattr(features, "mel_filterbank", lambda *args: calls.append(args) or mel_filterbank(*args))
+        feature = features.FeatureFrames(features.AudioSignal(np.zeros(20000), 44100), "nnlms")
+        assert len(calls) == 0
+        feature.at(np.arange(600))
+        assert len(calls) == 1
+        feature.at([3])
+        assert len(calls) == 2
 
     def test_peak_memory_stays_below_half_the_power_array(self):
         # 11,520 frames: the 120 bars of 96 frames of a four-minute song.

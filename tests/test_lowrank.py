@@ -39,7 +39,7 @@ def pca_svd_reference(X, d_c):
     signs[signs == 0] = 1.0
     W = W * signs
     H = W.T @ centered
-    return lowrank.LowRankModel(kind="pca", W=W, H=H, mu=mu)
+    return lowrank.LowRankModel(W=W, H=H, mu=mu)
 
 
 def synthetic_barwise(seed, noise=0.3):
@@ -116,6 +116,21 @@ class TestPCA:
             err = np.linalg.norm(X - lowrank.pca_compress(X, d_c).reconstruct())
             assert err == pytest.approx(svd_tail_error(X, d_c), rel=1e-9)
             assert eckart_young_error(X, d_c) == pytest.approx(svd_tail_error(X, d_c), rel=1e-9)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("compress", [lowrank.pca_compress, lowrank.nmf_compress])
+    def test_rejected_before_any_iteration(self, monkeypatch, compress, value):
+        def never(*args):
+            raise AssertionError("iterated on non-finite input")
+
+        monkeypatch.setattr(lowrank, "_hals_rows", never)
+        monkeypatch.setattr(np.linalg, "eigh", never)
+        X = np.ones((6, 5))
+        X[3, 1] = value
+        with pytest.raises(ValueError, match="^X must be finite$"):
+            compress(X, 2)
 
 
 class TestPCARankDeficient:

@@ -757,7 +757,7 @@ class TestCli:
             assert done.stdout.splitlines()[-1] == "[]", feature
             assert (out / "audio.result.json").exists()
 
-    @pytest.mark.parametrize("feature", pipeline.FEATURES)
+    @pytest.mark.parametrize("feature", features.FEATURES)
     @pytest.mark.parametrize("command", ["features", "segment"])
     def test_every_feature_runs_without_scipy(self, short_song_dir, tmp_path, monkeypatch, command, feature):
         for name in ["scipy", *(m for m in sys.modules if m.startswith("scipy."))]:
@@ -890,6 +890,19 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err == "barseg: error: d_c is required unless compressor=none\n"
         assert not (tmp_path / "out" / "dc4").exists()
+
+    def test_repeated_dc_sweep_value_runs_once(self, short_song_dir, tmp_path, capsys, monkeypatch):
+        calls = []
+        run_song = pipeline.run_song
+        monkeypatch.setattr(pipeline, "run_song", lambda cfg: calls.append(cfg.d_c) or run_song(cfg))
+        rc = cli.main([
+            "segment", str(short_song_dir / "audio.wav"), "--downbeats", str(short_song_dir / "downbeats.txt"),
+            "--dc-sweep", "4,2,4", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+        assert calls == [4, 2]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": ")[0] for line in lines] == ["dc4/audio", "dc2/audio"]
 
     def test_interrupted_eval_write_keeps_the_earlier_file(self, song_dir, tmp_path, monkeypatch, capsys):
         ann = str(song_dir / "annotations.txt")
