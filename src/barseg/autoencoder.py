@@ -516,11 +516,14 @@ class TrainResult:
         return len(self.loss_trace)
 
 
-def _full_loss(net, bars, batch_size=32):
-    """Mean squared reconstruction error over all bars, taken `batch_size` bars at a time."""
+_LOSS_BATCH = 32  # bars per pass of the full-song loss: the dense layers round differently at other batch sizes
+
+
+def _full_loss(net, bars):
+    """Mean squared reconstruction error over all bars, taken `_LOSS_BATCH` bars at a time."""
     total = 0.0
-    for start in range(0, len(bars), batch_size):
-        chunk = bars[start : start + batch_size]
+    for start in range(0, len(bars), _LOSS_BATCH):
+        chunk = bars[start : start + _LOSS_BATCH]
         _, err = net.forward_batch(chunk)
         np.subtract(chunk, err, out=err)
         total += float(np.sum(np.square(err, out=err)))

@@ -84,7 +84,6 @@ def cmd_features(args):
     signal = features.load_wav(cfg.audio_path)
     values = features.compute_feature(signal, cfg.feature, n_fft=cfg.n_fft, hop=cfg.hop)
     out_dir = cfg.output_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(cfg.audio_path))[0]
     csv_path = os.path.join(out_dir, f"{stem}.{cfg.feature}.csv")
     bseg_path = os.path.join(out_dir, f"{stem}.{cfg.feature}.bseg")
@@ -110,20 +109,17 @@ def cmd_segment(args):
     if args.dc_sweep:
         sweep = _convert("command line", "dc_sweep", lambda v: [int(t) for t in v.split(",")], args.dc_sweep)
         # Each value runs once, in the order it first appears. Each config
-        # checks its d_c here, before the first run writes anything.
+        # checks its d_c here, before any file is removed or written.
         # A run is named after its output subdirectory.
         runs = [
             (f"dc{d_c}", dataclasses.replace(
                 base, d_c=d_c, output_dir=base.output_dir and os.path.join(base.output_dir, f"dc{d_c}")))
             for d_c in dict.fromkeys(sweep)
         ]
-    for k, (run, cfg) in enumerate(runs):
-        try:
-            _print_result(pipeline.run_song(cfg), run)
-        except BaseException:
-            for _, later in runs[k + 1:]:  # an earlier command's files there would read as this one's
-                pipeline.remove_artifacts(later)
-            raise
+    for _, cfg in runs:  # an earlier command's files would read as this one's, even if a run stops the rest
+        pipeline.remove_artifacts(cfg)
+    for run, cfg in runs:
+        _print_result(pipeline.run_song(cfg), run)
     return 0
 
 
@@ -133,7 +129,6 @@ def cmd_eval(args):
     tolerances = _build_pipeline_config(args).tolerances
     report = evaluate.evaluate_boundaries(est, ref, tolerances)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         matio.write_in_place(os.path.join(args.out, "eval.json"), matio.write_json, report)
     print(matio.dumps_json(report), end="")
     return 0

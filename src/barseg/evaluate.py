@@ -14,6 +14,7 @@ import numpy as np
 from .bars import check_times
 
 DEFAULT_TOLERANCES = (0.5, 3.0)
+_DEDUP_TOL = 1e-6  # annotated times at most this far apart (s) are one boundary
 
 
 @dataclass
@@ -106,7 +107,7 @@ def align_to_downbeats(annot, grid):
     return BoundarySet(np.unique(snapped))
 
 
-def load_annotations(path, dedup_tol=1e-6):
+def load_annotations(path):
     """Parse a segment annotation file into a boundary set.
 
     Accepted line forms: "start<TAB>end<TAB>label" or "time<TAB>label"
@@ -132,7 +133,7 @@ def load_annotations(path, dedup_tol=1e-6):
     times = np.sort(np.asarray(times, dtype=np.float64))
     keep = [times[0]]
     for t in times[1:]:
-        if not t - keep[-1] <= dedup_tol:  # NaN is kept, for BoundarySet to reject
+        if not t - keep[-1] <= _DEDUP_TOL:  # NaN is kept, for BoundarySet to reject
             keep.append(t)
     try:
         return BoundarySet(np.asarray(keep))

@@ -333,6 +333,9 @@ class FeatureFrames:
             raise ValueError(f"signal too short for centered frames (need > {pad} samples)")
         if kind != "stft_power" and kind not in FEATURES:
             raise ValueError(f"unknown feature kind {kind!r}")
+        if kind in ("mel", "lms", "nnlms") and MEL_FMAX > signal.sample_rate / 2:
+            raise ValueError(f"feature {kind!r} needs a sample rate of at least {2 * MEL_FMAX / 1000:g} kHz "
+                             f"(its mel bands reach {MEL_FMAX:g} Hz), got {signal.sample_rate} Hz")
         self.signal = signal
         self.feature_kind = kind
         self.n_fft = n_fft

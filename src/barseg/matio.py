@@ -19,8 +19,10 @@ def write_in_place(path, write, value):
     """write(tmp, value) to a temporary name beside `path`, then move it onto `path`.
 
     `path` holds either its old content or all of the new, never part of it.
-    The pipeline and the CLI write every output file through here.
+    The pipeline and the CLI write every output file through here, and
+    nothing else makes an output directory: `path`'s is made here.
     """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
     try:
         write(tmp, value)

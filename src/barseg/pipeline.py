@@ -107,11 +107,12 @@ def _stage(name, timings=None):
 def run_song(cfg, song_id=None):
     """Execute the full pipeline for one song and write its artifacts, at one BLAS thread.
 
-    Returns the dict its `<song>.result.json` holds. If it raises, it
-    removes the song's artifacts (`remove_artifacts`).
+    Returns the dict its `<song>.result.json` holds. It removes the song's
+    artifacts (`remove_artifacts`) before its first stage, and again if it raises.
     """
     song_id = _song_id(cfg, song_id)
     try:
+        remove_artifacts(cfg, song_id)
         with workers.one_blas_thread():
             return _run_stages(cfg, song_id)
     except BaseException:
@@ -133,7 +134,7 @@ def remove_artifacts(cfg, song_id=None):
 
 
 def _run_stages(cfg, song_id):
-    """The stages of `run_song`, which removes the song's artifacts if one fails."""
+    """The stages of `run_song`, which clears the song's artifacts before them and if one fails."""
     timings = {}
     with _stage("load", timings):
         signal = features.load_wav(cfg.audio_path)
@@ -179,13 +180,9 @@ def _run_stages(cfg, song_id):
             result["eval"] = evaluate.evaluate_boundaries(est, ref, cfg.tolerances)
     if cfg.output_dir:
         with _stage("output"):
-            os.makedirs(cfg.output_dir, exist_ok=True)
             boundaries_path, autosim_path, result_path = (
                 os.path.join(cfg.output_dir, song_id + suffix) for suffix in _ARTIFACTS)
-            # The result JSON vouches for the other two, so an earlier run's
-            # goes before they change and this run's comes last.
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(result_path)
+            # The result JSON vouches for the other two, so it comes last.
             matio.write_in_place(boundaries_path, matio.write_text, _boundary_text(seg.boundaries_seconds))
             matio.write_in_place(autosim_path, matio.write_pgm, A)
             matio.write_in_place(result_path, matio.write_json, result)
@@ -245,7 +242,6 @@ def run_batch(dataset_dir, cfg):
     aggregate["mean"] = per_tol
 
     if cfg.output_dir:
-        os.makedirs(cfg.output_dir, exist_ok=True)
         matio.write_in_place(os.path.join(cfg.output_dir, "aggregate.json"), matio.write_json, {
             **aggregate,
             "failures": {k: str(v).splitlines()[0] for k, v in failures.items()},

@@ -505,6 +505,18 @@ class TestFeatureFramesChunks:
         feature.at([3])
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("kind", ["mel", "lms", "nnlms"])
+    def test_mel_bands_need_32_khz_before_any_filterbank(self, monkeypatch, kind):
+        # MEL_FMAX is 16 kHz, so the 80 bands need a Nyquist frequency at least that high.
+        calls = []
+        monkeypatch.setattr(features, "mel_filterbank", lambda *args: calls.append(args))
+        signal = features.AudioSignal(np.zeros(20000), 22050)
+        with pytest.raises(ValueError, match=rf"feature '{kind}' needs a sample rate of at least 32 kHz "
+                                             r"\(its mel bands reach 16000 Hz\), got 22050 Hz"):
+            features.FeatureFrames(signal, kind)
+        assert calls == []
+        features.FeatureFrames(features.AudioSignal(np.zeros(20000), 32000), kind)
+
     def test_peak_memory_stays_below_half_the_power_array(self):
         # 11,520 frames: the 120 bars of 96 frames of a four-minute song.
         n_frames = 11520

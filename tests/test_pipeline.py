@@ -713,6 +713,53 @@ class TestCli:
         assert not [p for p in failing_run.iterdir() if p.is_file()]
         assert not [p for p in tmp_path.rglob("*") if p.is_file()]  # nor in a sweep run not reached
 
+    @pytest.mark.parametrize("dc_args", [[], ["--dc-sweep", "2,3"]])
+    def test_killed_run_leaves_no_earlier_artifacts(self, short_song_dir, tmp_path, dc_args):
+        # os._exit runs no except block, as when the process is killed during compression.
+        argv = ["segment", str(short_song_dir / "audio.wav"), "--downbeats", str(short_song_dir / "downbeats.txt"),
+                *dc_args, "--compressor", "pca", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        for run in ([tmp_path / "dc2", tmp_path / "dc3"] if dc_args else [tmp_path]):
+            assert sorted(p.name for p in run.iterdir()) == [
+                "audio.autosim.pgm", "audio.boundaries.txt", "audio.result.json"]
+        code = ("import os, sys; from barseg import cli, lowrank; "
+                "lowrank.pca_compress = lambda *args: os._exit(3); sys.exit(cli.main(sys.argv[1:]))")
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 3, done.stderr
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+    @pytest.mark.parametrize("dc_args", [[], ["--dc-sweep", "2,3"]])
+    def test_rerun_clears_every_run_before_its_first_load(self, short_song_dir, tmp_path, monkeypatch, dc_args):
+        argv = ["segment", str(short_song_dir / "audio.wav"), "--downbeats", str(short_song_dir / "downbeats.txt"),
+                *dc_args, "--compressor", "none", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        seen = []  # the files under --out as each run's load stage starts
+        load_wav = features.load_wav
+
+        def recording_load_wav(path):
+            seen.append(sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()))
+            return load_wav(path)
+
+        monkeypatch.setattr(features, "load_wav", recording_load_wav)
+        assert cli.main(argv) == 0
+        artifacts = ["audio.autosim.pgm", "audio.boundaries.txt", "audio.result.json"]
+        assert seen == ([[]] if not dc_args else [[], [os.path.join("dc2", name) for name in artifacts]])
+
+    def test_wav_below_32_khz_fails_in_features_under_mel_bands(self, tmp_path, capsys):
+        song = tmp_path / "song"
+        synthetic.write_song_dir(song, "AAAABBBB", sample_rate=22050)
+        argv = ["segment", str(song / "audio.wav"), "--downbeats", str(song / "downbeats.txt")]
+        assert cli.main(argv + ["--out", str(tmp_path / "nnlms")]) == 2
+        assert capsys.readouterr().err == (
+            "barseg: error: stage 'features' failed: feature 'nnlms' needs a sample rate of at least 32 kHz "
+            "(its mel bands reach 16000 Hz), got 22050 Hz\n")
+        assert not (tmp_path / "nnlms").exists()
+        for feature in ("chroma", "mfcc"):
+            assert cli.main(argv + ["--feature", feature, "--out", str(tmp_path / feature)]) == 0
+            assert (tmp_path / feature / "audio.result.json").exists()
+
     def test_silent_song_under_pca_is_one_segment(self, silent_song_dir, tmp_path, capsys):
         # Every PCA component of silence is at the rounding floor, so H is
         # zero and the autosimilarity is degenerate.
