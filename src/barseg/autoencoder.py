@@ -355,13 +355,14 @@ class AENetwork:
 
     def __init__(self, n_bins, subdivision, d_c, seed=42):
         """Fresh network with He-uniform weights and zero biases."""
+        # Both pools halve both axes of a bar.
+        if n_bins % 4 != 0:
+            raise ValueError(f"n_bins must be divisible by 4, got {n_bins}")
         if subdivision % 4 != 0:
             raise ValueError(f"subdivision must be divisible by 4, got {subdivision}")
         self.n_bins = n_bins
         self.subdivision = subdivision
-        # Pad the frequency axis up to a multiple of 4 with zero rows.
-        self.f_pad = n_bins if n_bins % 4 == 0 else n_bins + (4 - n_bins % 4)
-        self.flat_size = 16 * (self.f_pad // 4) * (subdivision // 4)
+        self.flat_size = 16 * (n_bins // 4) * (subdivision // 4)
         if d_c < 1:
             raise ValueError("latent dimension must be positive")
         if d_c >= self.flat_size:
@@ -370,11 +371,11 @@ class AENetwork:
         self.encoder = [
             Conv2D(1, 4, rng, "conv1"), MaxPool2x2(), ReLU(),
             Conv2D(4, 16, rng, "conv2"), MaxPool2x2(), ReLU(),
-            Flatten(16, self.f_pad // 4, subdivision // 4), Dense(self.flat_size, d_c, rng, "fc_enc"),
+            Flatten(16, n_bins // 4, subdivision // 4), Dense(self.flat_size, d_c, rng, "fc_enc"),
         ]
         self.decoder = [
             Dense(d_c, self.flat_size, rng, "fc_dec"), ReLU(),
-            Unflatten(16, self.f_pad // 4, subdivision // 4),
+            Unflatten(16, n_bins // 4, subdivision // 4),
             ConvTranspose2D(16, 4, rng, "deconv1"), ReLU(),
             ConvTranspose2D(4, 1, rng, "deconv2"), ReLU(),
         ]
@@ -396,19 +397,13 @@ class AENetwork:
 
     # -- forward / backward ---------------------------------------------------
 
-    def _pad_input(self, x):
-        """(N, f, s, 1) -> (N, f_pad, s, 1) with zero rows below."""
-        if self.f_pad == self.n_bins:
-            return x
-        return np.pad(x, ((0, 0), (0, self.f_pad - self.n_bins), (0, 0), (0, 0)))
-
     def encode_batch(self, x, train=False):
         """x: (N, f, s) -> (N, d_c). Latent layer is linear by design."""
         x = np.asarray(x, dtype=np.float64)
         *per_bar, fc_enc = self.encoder
         flat = np.empty((len(x), self.flat_size))
         for start, stop in _blocks(len(x), train):
-            flat[start:stop] = _forward(per_bar, self._pad_input(x[start:stop, ..., None]), train)
+            flat[start:stop] = _forward(per_bar, x[start:stop, ..., None], train)
         return fc_enc.forward(flat, train)
 
     def decode_batch(self, z, train=False):
@@ -416,7 +411,7 @@ class AENetwork:
         h = _forward(self.decoder[:3], z, train)  # fc_dec, its ReLU and the unflatten
         out = np.empty((len(z), self.n_bins, self.subdivision))
         for start, stop in _blocks(len(z), train):
-            out[start:stop] = _forward(self.decoder[3:], h[start:stop], train)[:, : self.n_bins, :, 0]
+            out[start:stop] = _forward(self.decoder[3:], h[start:stop], train)[..., 0]
         return out
 
     def forward_batch(self, x, train=False):
@@ -426,13 +421,10 @@ class AENetwork:
     def backward_batch(self, x):
         """Gradients of the batch-mean reconstruction MSE for every parameter."""
         x = np.asarray(x, dtype=np.float64)
-        n_batch = x.shape[0]
         _, err = self.forward_batch(x, train=True)
         err -= x
         grads = {}
-        # Undo the output crop: padded rows never contribute to the loss.
-        g = np.zeros((n_batch, self.f_pad, self.subdivision, 1))
-        g[:, : self.n_bins, :, 0] = 2.0 * err / (x.shape[1] * x.shape[2] * n_batch)
+        g = (2.0 * err / err.size)[..., None]  # shaped as the (N, f, s, 1) output
         layers = self.encoder + self.decoder
         for layer in reversed(layers[1:]):
             g = layer.backward(g, grads)
@@ -556,10 +548,10 @@ def train_single_song(bars, d_c, seed=42, max_epochs=1000, batch_size=8):
     schedule = PlateauSchedule()
     # Every loss pass runs on this copy of the parameters, on either thread.
     snapshot = AENetwork(f, s, d_c)
-    # Both convs take f_pad * s values per bar and unfold each into 9.
+    # Both convs take f * s values per bar and unfold each into 9.
     convs = [layer for layer in net.encoder if isinstance(layer, Conv2D)]
     for conv in convs:
-        conv.col_buf = np.empty(9 * min(batch_size, b) * net.f_pad * s)
+        conv.col_buf = np.empty(9 * min(batch_size, b) * f * s)
 
     best_state, best_loss = net.get_state(), _full_loss(net, bars)
     trace = []

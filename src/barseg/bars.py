@@ -87,21 +87,22 @@ def load_downbeats(path):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def downbeat_frames(downbeats, frames_per_second, n_frames):
-    """Frame nearest each downbeat time, capped at n_frames."""
-    return np.minimum(np.rint(downbeats * frames_per_second).astype(np.int64), n_frames)
+def downbeat_frames(downbeats, frames):
+    """Frame nearest each downbeat time on the grid of `frames` (a
+    `features.FeatureFrames`: its sample_rate, hop and n_frames), capped at n_frames."""
+    return np.minimum(np.rint(downbeats * (frames.sample_rate / frames.hop)).astype(np.int64), frames.n_frames)
 
 
-def drop_bars_past_end(grid, frames_per_second, n_frames):
-    """The grid without the bars that start at or past the last frame.
+def drop_bars_past_end(grid, frames):
+    """The grid without the bars that start at or past the last frame of `frames`.
 
     Such bars hold at most one frame of audio. Returns the cut grid and the
     number of bars dropped; fails if no bar starts before the last frame.
     """
-    starts = downbeat_frames(grid.downbeats[:-1], frames_per_second, n_frames)
-    kept = int(np.count_nonzero(starts < n_frames - 1))
+    last = frames.n_frames - 1
+    kept = int(np.count_nonzero(downbeat_frames(grid.downbeats[:-1], frames) < last))
     if kept == 0:
-        raise ValueError(f"all {grid.n_bars} bars start at or past the last frame ({n_frames - 1})")
+        raise ValueError(f"all {grid.n_bars} bars start at or past the last frame ({last})")
     return BarGrid(grid.downbeats[:kept + 1]), grid.n_bars - kept
 
 
@@ -130,8 +131,7 @@ def barwise_tf(spec, grid, subdivision=DEFAULT_SUBDIVISION):
     bars select, through one `spec.at(...)` call. Bar edges are the frames
     nearest each downbeat; frames past the last downbeat are ignored.
     """
-    frames_per_second = spec.sample_rate / spec.hop
-    edges = downbeat_frames(grid.downbeats, frames_per_second, spec.n_frames)
+    edges = downbeat_frames(grid.downbeats, spec)
     # Edges are capped at n_frames, so a grid starting past the end has an empty bar 0.
     empty = np.flatnonzero(edges[1:] <= edges[:-1])
     if len(empty):

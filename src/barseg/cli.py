@@ -45,6 +45,8 @@ def _coerce_config(values, source):
     for key, value in values.items():
         if key not in _FIELD_TYPES:
             raise ValueError(f"{source}: unknown config key {key!r}")
+        if value == "":  # not given, in a config file and on the command line alike
+            continue
         convert = _float_tuple if _FIELD_TYPES[key] is tuple else _FIELD_TYPES[key]
         out[key] = _convert(source, key, convert, value)
     return out
@@ -59,8 +61,7 @@ def _build_pipeline_config(args, file_keys=None):
         if file_keys is not None:
             values = {k: v for k, v in values.items() if k in file_keys or k not in _FIELD_TYPES}
         cfg.update(_coerce_config(values, args.config))
-    # A flag given as "" counts as not given, so --tolerances "" keeps the default.
-    flags = {k: v for k, v in vars(args).items() if k in _FIELD_TYPES and v not in (None, "")}
+    flags = {k: v for k, v in vars(args).items() if k in _FIELD_TYPES and v is not None}
     cfg.update(_coerce_config(flags, "command line"))
     return pipeline.PipelineConfig(**cfg)
 
@@ -84,11 +85,10 @@ def cmd_features(args):
     signal = features.load_wav(cfg.audio_path)
     values = features.compute_feature(signal, cfg.feature, n_fft=cfg.n_fft, hop=cfg.hop)
     out_dir = cfg.output_dir or "."
-    stem = os.path.splitext(os.path.basename(cfg.audio_path))[0]
+    stem = pipeline._song_id(cfg)
     csv_path = os.path.join(out_dir, f"{stem}.{cfg.feature}.csv")
     bseg_path = os.path.join(out_dir, f"{stem}.{cfg.feature}.bseg")
-    matio.write_in_place(csv_path, matio.write_csv_matrix, values)
-    matio.write_in_place(bseg_path, matio.write_bseg, values)
+    matio.write_in_place((csv_path, matio.write_csv_matrix, values), (bseg_path, matio.write_bseg, values))
     print(f"{cfg.feature}: {values.shape[0]} bins x {values.shape[1]} frames -> {csv_path}, {bseg_path}")
     return 0
 
@@ -129,7 +129,7 @@ def cmd_eval(args):
     tolerances = _build_pipeline_config(args).tolerances
     report = evaluate.evaluate_boundaries(est, ref, tolerances)
     if args.out:
-        matio.write_in_place(os.path.join(args.out, "eval.json"), matio.write_json, report)
+        matio.write_in_place((os.path.join(args.out, "eval.json"), matio.write_json, report))
     print(matio.dumps_json(report), end="")
     return 0
 

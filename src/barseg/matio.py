@@ -15,21 +15,25 @@ import numpy as np
 BSEG_MAGIC = b"BSEG"
 
 
-def write_in_place(path, write, value):
-    """write(tmp, value) to a temporary name beside `path`, then move it onto `path`.
+def write_in_place(*writes):
+    """write(tmp, value) to a temporary name beside each path, then move every
+    temporary onto its path in the order of the (path, write, value) writes.
 
-    `path` holds either its old content or all of the new, never part of it.
-    The pipeline and the CLI write every output file through here, and
-    nothing else makes an output directory: `path`'s is made here.
+    A path holds either its old content or all of the new. If a write fails,
+    every temporary is removed and no path is replaced, so files that must
+    agree are replaced together. The pipeline and the CLI write every output
+    file through here, and nothing else makes an output directory.
     """
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
     try:
-        write(tmp, value)
-        os.replace(tmp, path)
+        for path, write, value in writes:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            write(path + ".tmp", value)
+        for path, _, _ in writes:
+            os.replace(path + ".tmp", path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for path, _, _ in writes:
+            with contextlib.suppress(OSError):
+                os.remove(path + ".tmp")
         raise
 
 

@@ -139,9 +139,13 @@ def _run_stages(cfg, song_id):
     with _stage("load", timings):
         signal = features.load_wav(cfg.audio_path)
         grid = bars.load_downbeats(cfg.downbeats_path)
+        ref = evaluate.load_annotations(cfg.annotations_path) if cfg.annotations_path else None
+    with _stage("features", timings):
+        # Lazy: checks its inputs here; the barwise_tf stage computes the
+        # STFT and the feature at the frames the bars select.
+        spec = features.FeatureFrames(signal, cfg.feature, n_fft=cfg.n_fft, hop=cfg.hop)
         # Downbeats past the audio end would give bars with no frames.
-        n_frames = 1 + len(signal) // cfg.hop
-        grid, dropped = bars.drop_bars_past_end(grid, signal.sample_rate / cfg.hop, n_frames)
+        grid, dropped = bars.drop_bars_past_end(grid, spec)
     if dropped:
         warnings.warn(f"song {song_id!r}: dropped {dropped} bars that start at or past the audio end",
                       stacklevel=3)  # run_song's caller
@@ -152,10 +156,6 @@ def _run_stages(cfg, song_id):
             f"{cfg.compressor} needs d_c <= the number of bars, but d_c={cfg.d_c} "
             f"and song {song_id!r} has {grid.n_bars} bars"
         )
-    with _stage("features", timings):
-        # Lazy: checks its inputs here; the barwise_tf stage computes the
-        # STFT and the feature at the frames the bars select.
-        spec = features.FeatureFrames(signal, cfg.feature, n_fft=cfg.n_fft, hop=cfg.hop)
     with _stage("barwise_tf", timings):
         tf_matrix = bars.barwise_tf(spec, grid, subdivision=cfg.subdivision)
     # The later stages read only tf_matrix and grid, so the stored audio goes before compression.
@@ -173,19 +173,17 @@ def _run_stages(cfg, song_id):
         "total_score": seg.total_score,
         "timings": timings,
     }
-    if cfg.annotations_path:
+    if ref is not None:
         with _stage("evaluation", timings):
-            ref = evaluate.load_annotations(cfg.annotations_path)
             est = evaluate.BoundarySet(seg.boundaries_seconds)
             result["eval"] = evaluate.evaluate_boundaries(est, ref, cfg.tolerances)
     if cfg.output_dir:
         with _stage("output"):
             boundaries_path, autosim_path, result_path = (
                 os.path.join(cfg.output_dir, song_id + suffix) for suffix in _ARTIFACTS)
-            # The result JSON vouches for the other two, so it comes last.
-            matio.write_in_place(boundaries_path, matio.write_text, _boundary_text(seg.boundaries_seconds))
-            matio.write_in_place(autosim_path, matio.write_pgm, A)
-            matio.write_in_place(result_path, matio.write_json, result)
+            # The result JSON vouches for the other two, so it is moved into place last.
+            matio.write_in_place((boundaries_path, matio.write_text, _boundary_text(seg.boundaries_seconds)),
+                                 (autosim_path, matio.write_pgm, A), (result_path, matio.write_json, result))
     return result
 
 
@@ -242,11 +240,10 @@ def run_batch(dataset_dir, cfg):
     aggregate["mean"] = per_tol
 
     if cfg.output_dir:
-        matio.write_in_place(os.path.join(cfg.output_dir, "aggregate.json"), matio.write_json, {
-            **aggregate,
-            "failures": {k: str(v).splitlines()[0] for k, v in failures.items()},
-        })
-        matio.write_in_place(os.path.join(cfg.output_dir, "aggregate.csv"), matio.write_text, _aggregate_csv(per_tol))
+        failed = {k: str(v).splitlines()[0] for k, v in failures.items()}
+        matio.write_in_place(
+            (os.path.join(cfg.output_dir, "aggregate.json"), matio.write_json, {**aggregate, "failures": failed}),
+            (os.path.join(cfg.output_dir, "aggregate.csv"), matio.write_text, _aggregate_csv(per_tol)))
     return aggregate, results, failures
 
 

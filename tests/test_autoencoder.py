@@ -17,7 +17,6 @@ class TestInitNetwork:
 
     def test_flatten_size_chroma(self):
         net = ae.AENetwork(12, 96, 8)
-        assert net.f_pad == 12
         assert net.flat_size == 16 * 3 * 24 == 1152
 
     def test_seed_determinism(self):
@@ -44,11 +43,9 @@ class TestInitNetwork:
         with pytest.raises(ValueError, match="latent dimension must be positive"):
             ae.AENetwork(4, 8, 0)
 
-    def test_frequency_padding(self):
-        net = ae.AENetwork(10, 8, 4)
-        assert net.f_pad == 12
-        z, x_hat = net.forward_batch(np.random.default_rng(0).random((1, 10, 8)))
-        assert x_hat.shape == (1, 10, 8)
+    def test_bins_not_divisible_by_4_rejected(self):
+        with pytest.raises(ValueError, match=r"^n_bins must be divisible by 4, got 10$"):
+            ae.AENetwork(10, 8, 2)
 
 
 class TestForward:
@@ -86,8 +83,8 @@ class TestForward:
                 h = layer.forward(h)
             return h
 
-        h1 = conv_stages(net._pad_input(x[..., None]))
-        h2 = conv_stages(net._pad_input(2 * x[..., None]))
+        h1 = conv_stages(x[..., None])
+        h2 = conv_stages(2 * x[..., None])
         assert np.allclose(h2, 2 * h1, rtol=1e-12)
 
     def test_encoding_locality(self):
@@ -178,8 +175,8 @@ class TestBackward:
     def test_no_cached_array_after_backward(self, batch):
         # Backward drops what it read, so the epoch-end loss pass and the
         # trained network hold no activations of the last minibatch.
-        net = ae.AENetwork(10, 8, 2, seed=8)
-        net.backward_batch(np.random.default_rng(9).random((batch, 10, 8)))
+        net = ae.AENetwork(8, 8, 2, seed=8)
+        net.backward_batch(np.random.default_rng(9).random((batch, 8, 8)))
         for layer in net.encoder + net.decoder:
             for name, value in vars(layer).items():
                 if name.startswith("_"):
@@ -408,7 +405,7 @@ class NCHWNetwork:
 
     def __init__(self, net):
         state = net.get_state()
-        self.n_bins, self.f_pad, self.subdivision = net.n_bins, net.f_pad, net.subdivision
+        self.n_bins, self.subdivision = net.n_bins, net.subdivision
         self.encoder = [
             NCHWConv2D("conv1", state), NCHWReLU(), NCHWMaxPool2x2(),
             NCHWConv2D("conv2", state), NCHWReLU(), NCHWMaxPool2x2(),
@@ -416,7 +413,7 @@ class NCHWNetwork:
         ]
         self.decoder = [
             NCHWDense("fc_dec", state), NCHWReLU(),
-            NCHWReshape((16, self.f_pad // 4, self.subdivision // 4)),
+            NCHWReshape((16, self.n_bins // 4, self.subdivision // 4)),
             NCHWConvTranspose2D("deconv1", state), NCHWReLU(),
             NCHWConvTranspose2D("deconv2", state), NCHWReLU(),
         ]
@@ -436,8 +433,6 @@ class NCHWNetwork:
 
     def encode_batch(self, x):
         h = np.asarray(x, dtype=np.float64)[:, None, :, :]
-        if self.f_pad != self.n_bins:
-            h = np.pad(h, ((0, 0), (0, 0), (0, self.f_pad - self.n_bins), (0, 0)))
         for layer in self.encoder:
             h = layer.forward(h)
         return h
@@ -447,16 +442,14 @@ class NCHWNetwork:
         h = z
         for layer in self.decoder:
             h = layer.forward(h)
-        return z, h[:, 0, : self.n_bins, :]
+        return z, h[:, 0]
 
     def backward_batch(self, x):
         x = np.asarray(x, dtype=np.float64)
         n_batch = x.shape[0]
         z, x_hat = self.forward_batch(x)
         grads = {}
-        gy = 2.0 * (x_hat - x) / (x.shape[1] * x.shape[2] * n_batch)
-        g = np.zeros((n_batch, 1, self.f_pad, self.subdivision))
-        g[:, 0, : self.n_bins, :] = gy
+        g = (2.0 * (x_hat - x) / (x.shape[1] * x.shape[2] * n_batch))[:, None]
         for layer in reversed(self.encoder + self.decoder):
             g = layer.backward(g, grads)
         return grads, float(np.mean((x_hat - x) ** 2))
@@ -520,10 +513,9 @@ def acceptance_bars(tmp_path_factory):
 
 class TestMatchesNCHWReference:
     @pytest.mark.parametrize("batch", [1, 3, 8])
-    @pytest.mark.parametrize("n_bins,subdivision,d_c", [(80, 96, 8), (12, 16, 3), (10, 8, 2)])
+    @pytest.mark.parametrize("n_bins,subdivision,d_c", [(80, 96, 8), (12, 16, 3), (8, 8, 2)])
     def test_backward_batch_byte_equal(self, n_bins, subdivision, d_c, batch):
-        # Three SGD steps, so the biases move off zero. The zero-padded rows
-        # of the 10-bin shape and the ReLU zeros give max-pool ties.
+        # Three SGD steps, so the biases move off zero. The ReLU zeros give max-pool ties.
         net = ae.AENetwork(n_bins, subdivision, d_c, seed=11)
         ref = NCHWNetwork(net)
         x = np.random.default_rng(12).random((batch, n_bins, subdivision))
@@ -539,8 +531,8 @@ class TestMatchesNCHWReference:
                     p -= 0.01 * g[name]
 
     def test_forward_byte_equal(self):
-        net = ae.AENetwork(10, 8, 2, seed=13)
-        x = np.random.default_rng(14).random((5, 10, 8))
+        net = ae.AENetwork(8, 8, 2, seed=13)
+        x = np.random.default_rng(14).random((5, 8, 8))
         z, x_hat = net.forward_batch(x)
         ref_z, ref_x_hat = NCHWNetwork(net).forward_batch(x)
         assert_same_bytes(z, ref_z, "z")
@@ -557,7 +549,7 @@ class TestMatchesNCHWReference:
 
 
 class TestBlockwiseInferenceConv:
-    @pytest.mark.parametrize("n_bins,subdivision,d_c", [(80, 96, 8), (12, 16, 3), (10, 8, 2)])
+    @pytest.mark.parametrize("n_bins,subdivision,d_c", [(80, 96, 8), (12, 16, 3), (8, 8, 2)])
     def test_forward_batch_of_33_byte_equal(self, n_bins, subdivision, d_c):
         # 33 items run the inference convs in blocks of 8, 8, 8 and a merged 9.
         net = ae.AENetwork(n_bins, subdivision, d_c, seed=15)
@@ -568,7 +560,7 @@ class TestBlockwiseInferenceConv:
         assert_same_bytes(x_hat, ref_x_hat, "x_hat")
 
     @pytest.mark.parametrize("n_items", [1, 7, 8, 9, 17, 33])
-    @pytest.mark.parametrize("n_bins,subdivision,d_c", [(80, 96, 8), (12, 16, 3), (10, 8, 2)])
+    @pytest.mark.parametrize("n_bins,subdivision,d_c", [(80, 96, 8), (12, 16, 3), (8, 8, 2)])
     def test_inference_passes_byte_equal(self, n_bins, subdivision, d_c, n_items):
         # Fewer than 16 items make one block; 17 make blocks of 8 and 9. The
         # loss pass over 33 runs a chunk of 32 in blocks of 8 and a 1-item tail.

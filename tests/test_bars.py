@@ -1,4 +1,5 @@
 import re
+import types
 
 import numpy as np
 import pytest
@@ -173,21 +174,23 @@ class TestBarwiseTF:
             n_frames = int(edges[-2] + 1 + rng.integers(0, 2 * steps[-1]))  # may cap the last edge
             grid = bars.BarGrid((edges + rng.uniform(0, 0.4, len(edges))) * hop / sr)
             subdivision = int(rng.integers(1, 130))
-            tf = bars.barwise_tf(spec_from(np.arange(n_frames)[None, :], hop=hop, sr=sr), grid, subdivision)
-            expected = per_bar_plan(bars.downbeat_frames(grid.downbeats, sr / hop, n_frames), subdivision)
+            spec = spec_from(np.arange(n_frames)[None, :], hop=hop, sr=sr)
+            tf = bars.barwise_tf(spec, grid, subdivision)
+            expected = per_bar_plan(bars.downbeat_frames(grid.downbeats, spec), subdivision)
             assert np.array_equal(tf.values, expected)
 
     def test_bars_from_the_last_frame_on_are_dropped(self):
         # 10 frames a second, 11 frames: the last frame is 10, at 1.0 s.
+        frames = types.SimpleNamespace(sample_rate=10, hop=1, n_frames=11)
         grid = bars.BarGrid([0.0, 0.5, 0.94, 0.96, 1.2, 1.4])
-        cut, dropped = bars.drop_bars_past_end(grid, 10.0, 11)
+        cut, dropped = bars.drop_bars_past_end(grid, frames)
         # Bar 2 starts at frame 9 and is kept; bar 3 starts at frame 10.
         assert cut.downbeats.tolist() == [0.0, 0.5, 0.94, 0.96]
         assert dropped == 2
-        same, none_dropped = bars.drop_bars_past_end(cut, 10.0, 11)
+        same, none_dropped = bars.drop_bars_past_end(cut, frames)
         assert same.downbeats.tolist() == cut.downbeats.tolist() and none_dropped == 0
         with pytest.raises(ValueError, match=r"all 2 bars start at or past the last frame \(10\)"):
-            bars.drop_bars_past_end(bars.BarGrid([1.0, 1.5, 2.0]), 10.0, 11)
+            bars.drop_bars_past_end(bars.BarGrid([1.0, 1.5, 2.0]), frames)
 
     def test_bar_permutation_permutes_rows(self):
         rng = np.random.default_rng(2)

@@ -170,7 +170,7 @@ class TestRunSong:
             pipeline.run_song(cfg)
         assert excinfo.value.stage == "load"
 
-    @pytest.mark.parametrize("stage", ["features", "barwise_tf", "evaluation", "output"])
+    @pytest.mark.parametrize("stage", ["features", "barwise_tf", "output"])
     def test_failure_names_its_stage(self, short_song_dir, tmp_path, stage):
         overrides = {"output_dir": str(tmp_path / "out")}
         if stage == "features":
@@ -184,10 +184,6 @@ class TestRunSong:
             times = (short_song_dir / "downbeats.txt").read_text().split()
             path.write_text("\n".join([times[0], "0.0001", *times[1:]]) + "\n")
             overrides["downbeats_path"] = str(path)
-        elif stage == "evaluation":
-            path = tmp_path / "annotations.txt"
-            path.write_text("0.0\tintro\nsoon\tverse\n")
-            overrides["annotations_path"] = str(path)
         else:
             (tmp_path / "out").write_text("an existing file, not a directory")
         cfg = make_config(short_song_dir, tmp_path, compressor="none", **overrides)
@@ -212,6 +208,27 @@ class TestRunSong:
         assert excinfo.value.stage == "output"
         # Neither the earlier run's files nor this run's first one are left.
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text", [None, "", "0.0\tintro\nsoon\tverse\n"], ids=["missing", "empty", "unparseable"])
+    def test_bad_annotations_fail_in_load_before_any_feature(self, short_song_dir, tmp_path, monkeypatch, text):
+        # A missing, empty or unparseable file; it used to fail in `evaluation`, after compression.
+        path = tmp_path / "annotations.txt"
+        if text is not None:
+            path.write_text(text)
+        calls = []
+        at = features.FeatureFrames.at
+
+        def recorded_at(spec, frames):
+            calls.append(frames)
+            return at(spec, frames)
+
+        monkeypatch.setattr(features.FeatureFrames, "at", recorded_at)
+        cfg = make_config(short_song_dir, tmp_path / "out", annotations_path=str(path))
+        with pytest.raises(pipeline.StageError, match="annotations.txt") as excinfo:
+            pipeline.run_song(cfg)
+        assert excinfo.value.stage == "load"
+        assert calls == []
+        assert not (tmp_path / "out").exists()
 
     def test_timings_keys_without_annotations(self, short_song_dir, tmp_path):
         cfg = make_config(short_song_dir, tmp_path, compressor="none", annotations_path="")
@@ -261,6 +278,15 @@ class TestDegenerateInput:
         assert result["boundaries_seconds"] == expected["boundaries_seconds"]
         assert result["total_score"] == expected["total_score"]
 
+    def test_downbeats_all_past_the_audio_end_fail_in_features(self, short_song_dir, tmp_path):
+        # The frame grid is the FeatureFrames', built in the `features` stage.
+        path = tmp_path / "downbeats.txt"
+        path.write_text("100.0\n101.0\n102.0\n")
+        cfg = make_config(short_song_dir, tmp_path / "out", compressor="none", downbeats_path=str(path))
+        with pytest.raises(pipeline.StageError, match=r"all 2 bars start at or past the last frame") as excinfo:
+            pipeline.run_song(cfg)
+        assert excinfo.value.stage == "features"
+
     @pytest.mark.parametrize("compressor", ["pca", "nmf"])
     def test_fewer_bars_than_dc_fails_before_features(self, tmp_path, monkeypatch, compressor):
         synthetic.write_song_dir(tmp_path / "six", "AAABBB")
@@ -268,7 +294,7 @@ class TestDegenerateInput:
         def no_features(*args, **kwargs):
             raise AssertionError("features were computed")
 
-        monkeypatch.setattr(pipeline.features, "FeatureFrames", no_features)
+        monkeypatch.setattr(pipeline.features.FeatureFrames, "at", no_features)
         cfg = make_config(tmp_path / "six", tmp_path / "out", compressor=compressor, d_c=8)
         with pytest.raises(ValueError, match=rf"^{compressor} needs d_c <= the number of bars, "
                                              r"but d_c=8 and song 'audio' has 6 bars$"):
@@ -407,6 +433,23 @@ class TestRunBatch:
         assert {song: sorted((out / song).iterdir()) for song in kept} == kept
         assert sorted(p.name for p in out.iterdir()) == [
             "aggregate.csv", "aggregate.json", "song_a", "song_b", "song_c"]
+
+    def test_failed_csv_write_leaves_the_earlier_aggregate_files(self, dataset, tmp_path, monkeypatch):
+        # The re-run's other tolerance would change both files; they are replaced together.
+        pipeline.run_batch(str(dataset), make_config(dataset / "song_a", tmp_path, d_c=4))
+        before = {p.name: p.read_bytes() for p in tmp_path.glob("aggregate.*")}
+        write_text = matio.write_text
+
+        def csv_disk_full(path, text):
+            if os.path.basename(path).startswith("aggregate.csv"):
+                raise OSError("no space left on device")
+            write_text(path, text)
+
+        monkeypatch.setattr(matio, "write_text", csv_disk_full)
+        with pytest.raises(OSError, match="no space left on device"):
+            pipeline.run_batch(str(dataset), make_config(dataset / "song_a", tmp_path, d_c=4, tolerances=(1.0,)))
+        assert sorted(before) == ["aggregate.csv", "aggregate.json"]
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("aggregate.*")} == before
 
     def test_empty_dataset_rejected(self, tmp_path):
         cfg = pipeline.PipelineConfig()
@@ -671,6 +714,23 @@ class TestCli:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         assert f"audio.chroma.{suffix}" in before
 
+    def test_failed_bseg_write_leaves_the_earlier_csv_and_bseg(self, short_song_dir, tmp_path, monkeypatch, capsys):
+        # The re-run's n_fft and hop give another frame count; the two files are replaced together.
+        audio, out = str(short_song_dir / "audio.wav"), tmp_path / "out"
+        assert cli.main(["features", audio, "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        config = tmp_path / "run.cfg"
+        config.write_text("n_fft = 1024\nhop = 64\n")
+
+        def disk_full(path, matrix):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(matio, "write_bseg", disk_full)
+        assert cli.main(["features", audio, "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "barseg: error: no space left on device\n"
+        assert sorted(before) == ["audio.nnlms.bseg", "audio.nnlms.csv"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_features_config_ignores_keys_that_change_no_feature(self, short_song_dir, tmp_path):
         # One config file serves features and segment alike: features reads
         # only its feature keys, so a segment-only value cannot fail it.
@@ -847,6 +907,20 @@ class TestCli:
         # The flag overrides the config file; unset keys fall back to the file.
         assert loaded["config"]["feature"] == "nnlms"
         assert loaded["config"]["d_c"] == 4
+
+    def test_empty_config_value_counts_as_not_given(self, short_song_dir, tmp_path, capsys):
+        # As `--tolerances ""` does, `tolerances =` keeps the default.
+        config = tmp_path / "run.cfg"
+        config.write_text("tolerances =\ncompressor = none\n")
+        rc = cli.main([
+            "segment", str(short_song_dir / "audio.wav"), "--downbeats", str(short_song_dir / "downbeats.txt"),
+            "--annotations", str(short_song_dir / "annotations.txt"), "--config", str(config),
+            "--tolerances", "", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 0, capsys.readouterr().err
+        loaded = json.loads((tmp_path / "out" / "audio.result.json").read_text())
+        assert loaded["config"]["tolerances"] == [0.5, 3.0]
+        assert list(loaded["eval"]) == ["0.5", "3"]
 
     def test_config_file_unknown_key_rejected(self, song_dir, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
