@@ -21,7 +21,7 @@ def main():
     signal = features.AudioSignal(samples, sample_rate=44100)
     # FeatureFrames computes the feature only at the frames the bars read.
     tf_matrix = bars.barwise_tf(features.FeatureFrames(signal, "nnlms"), grid)
-    X = tf_matrix.values.T  # bar columns
+    X = tf_matrix.columns
     norm_sq = np.sum(X**2)
     print(f"barwise TF: {tf_matrix.n_bars} bars x {X.shape[0]} dims, d_c={D_C}")
 
@@ -37,9 +37,8 @@ def main():
 
     # The autoencoder sees each bar as an f x s image; a short training
     # run is enough to illustrate the loss trace shape.
-    patches = np.stack([tf_matrix.bar_patch(i) for i in range(tf_matrix.n_bars)])
     t0 = time.perf_counter()
-    result = autoencoder.train_single_song(patches, D_C, max_epochs=60)
+    result = autoencoder.train_single_song(tf_matrix.patches, D_C, max_epochs=60)
     dt = time.perf_counter() - t0
     print(f"ae: loss {result.loss_trace[0]:.4f} -> {result.best_loss:.4f} "
           f"over {result.epochs_run} epochs in {dt:.1f}s")

@@ -25,7 +25,7 @@ def main():
     # FeatureFrames computes the feature only at the frames the bars read.
     tf_matrix = bars.barwise_tf(features.FeatureFrames(signal, "nnlms"), grid)
 
-    model = lowrank.pca_compress(tf_matrix.values.T, 8)
+    model = lowrank.pca_compress(tf_matrix.columns, 8)
     A = segment.cosine_autosimilarity(model.H)
     print(f"structure {STRUCTURE}")
     print("autosimilarity (one character per bar pair):")

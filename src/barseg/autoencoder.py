@@ -350,23 +350,32 @@ def _forward(layers, h, train):
     return h
 
 
+def bottleneck_size(n_bins, subdivision, d_c):
+    """Size of the flattened input of the latent layer for f x s bars, which d_c must compress.
+
+    Fails unless f and s are divisible by 4 (both pools halve both axes of
+    a bar) and 1 <= d_c < that size.
+    """
+    if n_bins % 4 != 0:
+        raise ValueError(f"n_bins must be divisible by 4, got {n_bins}")
+    if subdivision % 4 != 0:
+        raise ValueError(f"subdivision must be divisible by 4, got {subdivision}")
+    flat_size = 16 * (n_bins // 4) * (subdivision // 4)
+    if d_c < 1:
+        raise ValueError("latent dimension must be positive")
+    if d_c >= flat_size:
+        raise ValueError(f"d_c={d_c} is not a compression of the {flat_size}-dim bottleneck input")
+    return flat_size
+
+
 class AENetwork:
     """Convolutional autoencoder for f x s bar patches."""
 
     def __init__(self, n_bins, subdivision, d_c, seed=42):
         """Fresh network with He-uniform weights and zero biases."""
-        # Both pools halve both axes of a bar.
-        if n_bins % 4 != 0:
-            raise ValueError(f"n_bins must be divisible by 4, got {n_bins}")
-        if subdivision % 4 != 0:
-            raise ValueError(f"subdivision must be divisible by 4, got {subdivision}")
+        self.flat_size = bottleneck_size(n_bins, subdivision, d_c)
         self.n_bins = n_bins
         self.subdivision = subdivision
-        self.flat_size = 16 * (n_bins // 4) * (subdivision // 4)
-        if d_c < 1:
-            raise ValueError("latent dimension must be positive")
-        if d_c >= self.flat_size:
-            raise ValueError(f"d_c={d_c} is not a compression of the {self.flat_size}-dim bottleneck input")
         rng = np.random.default_rng(seed)
         self.encoder = [
             Conv2D(1, 4, rng, "conv1"), MaxPool2x2(), ReLU(),

@@ -64,9 +64,19 @@ class BarwiseTF:
     def n_bars(self):
         return self.values.shape[0]
 
+    @property
+    def patches(self):
+        """The b x f x s bar patches, a view of `values`, which the autoencoder takes."""
+        return self.values.reshape(self.n_bars, self.n_bins, self.subdivision)
+
+    @property
+    def columns(self):
+        """The (f*s) x b bar columns, which PCA and NMF take: `values.T`, not a copy, so sums keep their order."""
+        return self.values.T
+
     def bar_patch(self, i):
         """Bar i as its f x s time-frequency patch."""
-        return self.values[i].reshape(self.n_bins, self.subdivision)
+        return self.patches[i]
 
 
 def load_downbeats(path):

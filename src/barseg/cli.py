@@ -82,9 +82,10 @@ def _add_common(parser, with_compressor=True):
 
 def cmd_features(args):
     cfg = _build_pipeline_config(args, file_keys=_FEATURE_KEYS)
+    out_dir = cfg.output_dir or "."
+    matio.check_output_dir(out_dir)
     signal = features.load_wav(cfg.audio_path)
     values = features.compute_feature(signal, cfg.feature, n_fft=cfg.n_fft, hop=cfg.hop)
-    out_dir = cfg.output_dir or "."
     stem = pipeline._song_id(cfg)
     csv_path = os.path.join(out_dir, f"{stem}.{cfg.feature}.csv")
     bseg_path = os.path.join(out_dir, f"{stem}.{cfg.feature}.bseg")

@@ -48,8 +48,8 @@ DEFAULT_HOP = 32
 LOG_FLOOR = 1e-10
 N_MELS, MEL_FMIN, MEL_FMAX = 80, 80.0, 16000.0
 MFCC_BANDS, N_MFCC = 128, 32
-# The named features; `FeatureFrames` also gives the power STFT, "stft_power".
-FEATURES = ("chroma", "mel", "lms", "nnlms", "mfcc")
+# The named features and the rows each gives; `FeatureFrames` also gives the power STFT, "stft_power".
+FEATURES = {"chroma": 12, "mel": N_MELS, "lms": N_MELS, "nnlms": N_MELS, "mfcc": N_MFCC}
 # Frames per block of the finiteness check of float samples.
 _CHECK_BLOCK = 1 << 16
 
@@ -301,18 +301,19 @@ def _feature_of_power(kind, n_fft, sample_rate):
     """
     if kind == "stft_power":
         return n_fft // 2 + 1, lambda power: power
+    n_rows = FEATURES[kind]
     if kind == "chroma":
         classes = _pitch_class_bins(n_fft, sample_rate)
-        return 12, lambda power: _fold_pitch_classes(power, classes)
+        return n_rows, lambda power: _fold_pitch_classes(power, classes)
     if kind == "mfcc":
         fb, _ = mel_filterbank(MFCC_BANDS, n_fft, sample_rate, 0.0, sample_rate / 2)
-        return N_MFCC, lambda power: mfcc_from_log_mel(_decibels(fb @ power), N_MFCC)
-    fb, _ = mel_filterbank(N_MELS, n_fft, sample_rate, MEL_FMIN, MEL_FMAX)
+        return n_rows, lambda power: mfcc_from_log_mel(_decibels(fb @ power), n_rows)
+    fb, _ = mel_filterbank(n_rows, n_fft, sample_rate, MEL_FMIN, MEL_FMAX)
     if kind == "lms":
-        return N_MELS, lambda power: _decibels(fb @ power)
+        return n_rows, lambda power: _decibels(fb @ power)
     if kind == "nnlms":
-        return N_MELS, lambda power: np.log1p(fb @ power)
-    return N_MELS, lambda power: fb @ power  # mel
+        return n_rows, lambda power: np.log1p(fb @ power)
+    return n_rows, lambda power: fb @ power  # mel
 
 
 class FeatureFrames:

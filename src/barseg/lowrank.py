@@ -110,15 +110,17 @@ def nmf_compress(X, d_c, max_iters=500, tol=1e-8, seed=42, init_W=None, init_H=N
     Wt = np.ascontiguousarray(W.T)
     del W
     tmp_n, tmp_b, HXt = np.empty(n), np.empty(b), np.empty((d_c, n))
+    HHt = H @ H.T
     for _ in range(max_iters):
         np.matmul(H, X.T, out=HXt)
-        _hals_rows(Wt, H @ H.T, HXt, tmp_n)
+        _hals_rows(Wt, HHt, HXt, tmp_n)
         WtW = Wt @ Wt.T
         WtX = Wt @ X
         _hals_rows(H, WtW, WtX, tmp_b)
         # ||X - WH||_F^2 via the Gram identity; WtX and WtW use the final W,
-        # so only the cheap d x d / d x b products involve the updated H.
-        cur = norm_x_sq - 2.0 * float(np.vdot(WtX, H)) + float(np.vdot(WtW, H @ H.T))
+        # and the new H's Gram matrix serves the next W sweep too.
+        HHt = H @ H.T
+        cur = norm_x_sq - 2.0 * float(np.vdot(WtX, H)) + float(np.vdot(WtW, HHt))
         trace.append(max(cur, 0.0))
         prev, cur = trace[-2], trace[-1]
         if prev - cur < tol * max(prev, 1e-300):

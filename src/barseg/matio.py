@@ -1,4 +1,4 @@
-"""Serialization helpers (BSEG matrices, CSV, PGM, JSON, text) and `write_in_place`.
+"""Serialization helpers (BSEG matrices, CSV, PGM, JSON, text), `write_in_place` and its `check_output_dir`.
 
 The BSEG format is a minimal binary matrix container: the magic bytes
 ``BSEG``, two little-endian u32 giving rows and cols, then row-major
@@ -35,6 +35,18 @@ def write_in_place(*writes):
             with contextlib.suppress(OSError):
                 os.remove(path + ".tmp")
         raise
+
+
+def check_output_dir(directory):
+    """Fail unless `write_in_place` could write into `directory`: it must be a
+    directory, or its first existing ancestor a writable one. Makes nothing."""
+    target = path = os.path.abspath(directory)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ValueError(f"output directory {directory!r}: {path!r} is not a directory")
+    if path != target and not os.access(path, os.W_OK | os.X_OK):
+        raise ValueError(f"output directory {directory!r}: cannot make it in {path!r}, which is not writable")
 
 
 def write_bseg(path, matrix):

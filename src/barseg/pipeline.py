@@ -54,8 +54,8 @@ class PipelineConfig:
         for name in ("subdivision", "max_segment", "ae_max_epochs", "ae_batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.compressor == "ae" and self.subdivision % 4:
-            raise ValueError(f"subdivision must be divisible by 4, got {self.subdivision}")
+        if self.compressor == "ae":
+            autoencoder.bottleneck_size(features.FEATURES[self.feature], self.subdivision, self.d_c)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         self.tolerances = tuple(self.tolerances)  # so a result's config, which lists them, gives this config back
@@ -74,7 +74,7 @@ class StageError(RuntimeError):
 
 def _compress(tf_matrix, cfg):
     """BarwiseTF -> d x b embedding matrix Z (columns are bars)."""
-    X = tf_matrix.values.T  # n x b, bar columns
+    X = tf_matrix.columns
     if cfg.compressor == "none":
         return X
     if cfg.compressor == "pca":
@@ -86,9 +86,8 @@ def _compress(tf_matrix, cfg):
                 "negative values; use chroma, mel, or nnlms"
             )
         return lowrank.nmf_compress(X, cfg.d_c, seed=cfg.seed).H
-    patches = tf_matrix.values.reshape(tf_matrix.n_bars, tf_matrix.n_bins, tf_matrix.subdivision)
     return autoencoder.train_single_song(
-        patches, cfg.d_c, cfg.seed, max_epochs=cfg.ae_max_epochs, batch_size=cfg.ae_batch_size
+        tf_matrix.patches, cfg.d_c, cfg.seed, max_epochs=cfg.ae_max_epochs, batch_size=cfg.ae_batch_size
     ).embedding
 
 
@@ -137,6 +136,8 @@ def _run_stages(cfg, song_id):
     """The stages of `run_song`, which clears the song's artifacts before them and if one fails."""
     timings = {}
     with _stage("load", timings):
+        if cfg.output_dir:
+            matio.check_output_dir(cfg.output_dir)
         signal = features.load_wav(cfg.audio_path)
         grid = bars.load_downbeats(cfg.downbeats_path)
         ref = evaluate.load_annotations(cfg.annotations_path) if cfg.annotations_path else None
@@ -150,7 +151,7 @@ def _run_stages(cfg, song_id):
         warnings.warn(f"song {song_id!r}: dropped {dropped} bars that start at or past the audio end",
                       stacklevel=3)  # run_song's caller
     # PCA and NMF give at most one component per bar; the AE's d_c is
-    # bounded by its bottleneck instead. Fail before paying for features.
+    # bounded by its bottleneck, which the config checks. Fail before paying for features.
     if cfg.compressor in ("pca", "nmf") and cfg.d_c > grid.n_bars:
         raise ValueError(
             f"{cfg.compressor} needs d_c <= the number of bars, but d_c={cfg.d_c} "

@@ -12,6 +12,7 @@ process with two CPUs runs them on two workers at one BLAS thread
 whatever the environment sets, with the same bytes.
 """
 
+import collections
 import contextlib
 import functools
 import os
@@ -23,6 +24,9 @@ _helper_slot = threading.Lock()
 _hold = threading.Lock()
 _holders = 0
 _restore = None
+# NumPy's OpenBLAS: threads() reads its thread count, set_threads(n) sets it, and core names the
+# kernel set it picked for this CPU, on which the last bits of a GEMM may depend.
+OpenBLAS = collections.namedtuple("OpenBLAS", "threads set_threads core")
 
 
 def spans(n, size):
@@ -113,15 +117,14 @@ def worker_count():
     thread also keeps its own malloc arena after the call, which adds to
     the process's peak RSS, so a process has one helper at most (`helper`).
     """
-    blas = _openblas()
+    blas = openblas()
     if blas is None:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity outside Linux
         cpus = os.cpu_count() or 1
-    get, _ = blas
-    return 2 if cpus >= 2 * get() else 1
+    return 2 if cpus >= 2 * blas.threads() else 1
 
 
 @contextlib.contextmanager
@@ -137,15 +140,14 @@ def one_blas_thread():
     environment's BLAS setting.
     """
     global _holders, _restore
-    blas = _openblas()
+    blas = openblas()
     if blas is None:
         yield
         return
-    get, put = blas
     with _hold:
         if _holders == 0:
-            _restore = get()
-            put(1)
+            _restore = blas.threads()
+            blas.set_threads(1)
         _holders += 1
     try:
         yield
@@ -153,12 +155,12 @@ def one_blas_thread():
         with _hold:
             _holders -= 1
             if _holders == 0:
-                put(_restore)
+                blas.set_threads(_restore)
 
 
 @functools.cache
-def _openblas():
-    """(get, set) for the thread count of NumPy's OpenBLAS, or None if none is loaded.
+def openblas():
+    """NumPy's OpenBLAS as an `OpenBLAS`, or None if none is loaded.
 
     Found once, at the first call, in the libraries this process has
     mapped, so `import barseg` neither reads the map nor loads ctypes.
@@ -173,10 +175,9 @@ def _openblas():
     for lib in sorted(libs):
         dll = ctypes.CDLL(lib)
         for suffix in ("64_", ""):
-            get = getattr(dll, f"scipy_openblas_get_num_threads{suffix}", None)
-            put = getattr(dll, f"scipy_openblas_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.restype = ctypes.c_int
-                put.argtypes = [ctypes.c_int]
-                return get, put
+            get, put, core = (getattr(dll, f"scipy_openblas_{name}{suffix}", None)
+                              for name in ("get_num_threads", "set_num_threads", "get_corename"))
+            if None not in (get, put, core):
+                get.restype, put.argtypes, core.restype = ctypes.c_int, [ctypes.c_int], ctypes.c_char_p
+                return OpenBLAS(get, put, core().decode())
     return None

@@ -15,7 +15,7 @@ def one_blas_thread():
     on its width, so one wide GEMM and several narrow ones round a few
     columns differently. At one thread they agree.
     """
-    if workers._openblas() is None:
+    if workers.openblas() is None:
         pytest.skip("cannot set the OpenBLAS thread count")
     with workers.one_blas_thread():
         yield
@@ -24,21 +24,20 @@ def one_blas_thread():
 @pytest.fixture
 def set_blas_threads():
     """A function that sets NumPy's OpenBLAS to n threads, as a caller might; the test's end restores the count."""
-    blas = workers._openblas()
+    blas = workers.openblas()
     if blas is None:
         pytest.skip("cannot set the OpenBLAS thread count")
-    get, put = blas
-    before = get()
+    before = blas.threads()
 
     def set_threads(n):
-        put(n)
-        if get() != n:
+        blas.set_threads(n)
+        if blas.threads() != n:
             pytest.skip(f"OpenBLAS does not run {n} threads here")
 
     try:
         yield set_threads
     finally:
-        put(before)
+        blas.set_threads(before)
 
 
 def traced_peak(fn):

@@ -15,7 +15,6 @@ alter output bytes, with:
 
 import argparse
 import contextlib
-import ctypes
 import hashlib
 import io
 import json
@@ -25,7 +24,7 @@ import tempfile
 
 import numpy as np
 
-from barseg import cli, features, matio, synthetic
+from barseg import cli, features, matio, synthetic, workers
 
 MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "manifest.json")
 _PATH_FIELDS = ("audio_path", "downbeats_path", "annotations_path", "output_dir")
@@ -38,23 +37,8 @@ _ESTIMATED = "0.0\n2.3\n4.0\n9.0\n12.0\n16.0\n"
 
 def environment():
     """NumPy's version and the OpenBLAS core it runs on, on which output bytes may depend."""
-    return {"numpy": np.__version__, "openblas_core": _openblas_core()}
-
-
-def _openblas_core():
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
-    except OSError:
-        return "unknown"
-    for lib in sorted(libs):
-        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
-                     "openblas_get_corename64_", "openblas_get_corename"):
-            corename = getattr(ctypes.CDLL(lib), name, None)
-            if corename is not None:
-                corename.argtypes, corename.restype = [], ctypes.c_char_p
-                return corename().decode()
-    return "unknown"
+    blas = workers.openblas()
+    return {"numpy": np.__version__, "openblas_core": blas.core if blas else "unknown"}
 
 
 def _calls(inputs, out):

@@ -508,7 +508,7 @@ def acceptance_bars(tmp_path_factory):
     grid, _ = synthetic.write_song_dir(directory)
     signal = features.load_wav(str(directory / "audio.wav"))
     tf = bars.barwise_tf(features.FeatureFrames(signal, "nnlms"), grid)
-    return np.stack([tf.bar_patch(i) for i in range(tf.n_bars)])
+    return tf.patches
 
 
 class TestMatchesNCHWReference:

@@ -153,6 +153,17 @@ class TestBarwiseTF:
         assert np.array_equal(tf.values[0], values.ravel())
         assert np.array_equal(tf.bar_patch(0), values)
 
+    def test_patches_and_columns_are_views_of_values(self):
+        values = np.arange(24).reshape(3, 8).astype(float)
+        spec = spec_from(values, hop=1, sr=4)
+        tf = bars.barwise_tf(spec, bars.BarGrid([0.0, 1.0, 2.0]), subdivision=4)
+        # Bar 1 is frames 4..7 of every bin.
+        assert np.array_equal(tf.patches[1], values[:, 4:])
+        assert np.array_equal(tf.columns[:, 1], values[:, 4:].ravel())
+        for view in (tf.patches, tf.columns):
+            assert np.shares_memory(view, tf.values)
+        assert tf.columns.strides == tf.values.T.strides
+
     def test_degenerate_bar_rejected_with_index(self):
         spec = spec_from(np.zeros((2, 100)), hop=32, sr=3200)
         grid = bars.BarGrid([0.0, 0.5, 0.5001, 0.5002])

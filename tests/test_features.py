@@ -16,7 +16,7 @@ from barseg import bars, cli, features, workers
 from conftest import traced_peak
 
 # Every kind FeatureFrames computes: the power STFT and the features a run can ask for.
-KINDS = ("stft_power",) + features.FEATURES
+KINDS = ("stft_power", *features.FEATURES)
 
 
 def write_wav(path, samples, sr=44100, dtype=np.int16):

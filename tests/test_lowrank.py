@@ -407,7 +407,7 @@ def nmf_before_the_scratch_buffer(X, d_c, max_iters=500, tol=1e-8, seed=42):
 
 
 class TestNMFWorkingSet:
-    """One scratch buffer and one reused H @ X.T change no byte of W, H or the loss trace."""
+    """One scratch buffer, one reused H @ X.T and one H @ H.T per iteration change no byte of W, H or the trace."""
 
     @staticmethod
     def bars(layout):

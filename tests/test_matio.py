@@ -183,3 +183,27 @@ class TestCsv:
         path = tmp_path / "m.csv"
         matio.write_csv_matrix(path, np.array([[-0.0, 1e-320], [0.1, 2.0]]))
         assert path.read_bytes() == b"-0,9.9998886718268301e-321\n0.10000000000000001,2\n"
+
+
+class TestCheckOutputDir:
+    @pytest.mark.parametrize("relative", [".", "out", "new/deeper/out"])
+    def test_a_directory_or_one_that_can_be_made_passes_and_nothing_is_made(self, tmp_path, relative):
+        (tmp_path / "out").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        matio.check_output_dir(str(tmp_path / relative))
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("relative", ["file", "file/sub", "broken", "broken/sub"])
+    def test_a_file_on_the_path_fails(self, tmp_path, relative):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "broken").symlink_to(tmp_path / "nowhere")
+        with pytest.raises(ValueError, match="is not a directory$"):
+            matio.check_output_dir(str(tmp_path / relative))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["broken", "file"]
+
+    def test_an_unwritable_ancestor_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(matio.os, "access", lambda path, mode: False)
+        matio.check_output_dir(str(tmp_path))  # it exists, so write_in_place makes nothing
+        with pytest.raises(ValueError, match=f"cannot make it in '{tmp_path}', which is not writable$"):
+            matio.check_output_dir(str(tmp_path / "new" / "out"))
+        assert list(tmp_path.iterdir()) == []

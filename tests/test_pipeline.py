@@ -185,7 +185,8 @@ class TestRunSong:
             path.write_text("\n".join([times[0], "0.0001", *times[1:]]) + "\n")
             overrides["downbeats_path"] = str(path)
         else:
-            (tmp_path / "out").write_text("an existing file, not a directory")
+            # A directory where the first artifact goes cannot be replaced.
+            (tmp_path / "out" / "audio.boundaries.txt").mkdir(parents=True)
         cfg = make_config(short_song_dir, tmp_path, compressor="none", **overrides)
         with pytest.raises(pipeline.StageError) as excinfo:
             pipeline.run_song(cfg)
@@ -229,6 +230,20 @@ class TestRunSong:
         assert excinfo.value.stage == "load"
         assert calls == []
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("relative", ["out", "out/song"])
+    def test_an_output_path_through_a_file_fails_in_load_before_any_feature(self, short_song_dir, tmp_path,
+                                                                             monkeypatch, relative):
+        # It used to fail in `output`, after every compute stage.
+        (tmp_path / "out").write_text("an existing file, not a directory")
+        calls = []
+        monkeypatch.setattr(features.FeatureFrames, "at", lambda spec, frames: calls.append(frames))
+        cfg = make_config(short_song_dir, tmp_path / relative)
+        with pytest.raises(pipeline.StageError, match="is not a directory") as excinfo:
+            pipeline.run_song(cfg)
+        assert excinfo.value.stage == "load"
+        assert calls == []
+        assert (tmp_path / "out").read_text() == "an existing file, not a directory"
 
     def test_timings_keys_without_annotations(self, short_song_dir, tmp_path):
         cfg = make_config(short_song_dir, tmp_path, compressor="none", annotations_path="")
@@ -340,6 +355,13 @@ class TestPipelineConfig:
     def test_bad_setting_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             pipeline.PipelineConfig(**{field: value})
+
+    @pytest.mark.parametrize("feature, flat_size", [("chroma", 1152), ("mfcc", 3072), ("nnlms", 7680)])
+    def test_ae_dc_must_compress_the_bottleneck_of_the_features_rows(self, monkeypatch, feature, flat_size):
+        monkeypatch.setattr(features, "mel_filterbank", None)  # the row count builds no filterbank
+        pipeline.PipelineConfig(feature=feature, compressor="ae", d_c=flat_size - 1)
+        with pytest.raises(ValueError, match=f"^d_c={flat_size} is not a compression of the {flat_size}-dim"):
+            pipeline.PipelineConfig(feature=feature, compressor="ae", d_c=flat_size)
 
     def test_config_echo_round_trips(self, pca_run):
         _, out, cfg = pca_run
@@ -643,7 +665,7 @@ class TestOneBlasThread:
         assert values[2] == values[1]
 
     def test_the_callers_count_comes_back(self, short_song_dir, dataset, tmp_path, monkeypatch, set_blas_threads):
-        get, _ = workers._openblas()
+        get = workers.openblas().threads
         set_blas_threads(2)
         seen = []
         compress, at = pipeline._compress, features.FeatureFrames.at
@@ -730,6 +752,24 @@ class TestCli:
         assert capsys.readouterr().err == "barseg: error: no space left on device\n"
         assert sorted(before) == ["audio.nnlms.bseg", "audio.nnlms.csv"]
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("command", ["features", "sweep", "batch"])
+    def test_an_output_path_through_a_file_fails_before_any_feature(self, short_song_dir, tmp_path,
+                                                                     monkeypatch, capsys, command):
+        audio, blocker = str(short_song_dir / "audio.wav"), tmp_path / "file"
+        blocker.write_text("")
+        argv = {"features": ["features", audio],
+                "sweep": ["segment", audio, "--downbeats", str(short_song_dir / "downbeats.txt"),
+                          "--dc-sweep", "2,4"],
+                "batch": ["batch", str(short_song_dir.parent)]}[command]
+        calls = []
+        monkeypatch.setattr(features, "compute_feature", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(features.FeatureFrames, "at", lambda spec, frames: calls.append(frames))
+        assert cli.main(argv + ["--out", str(blocker / "out")]) == 2
+        # Each batch song fails in `load`; the command then fails writing its aggregate files.
+        assert "not a directory" in capsys.readouterr().err.lower()
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"] and blocker.read_text() == ""
 
     def test_features_config_ignores_keys_that_change_no_feature(self, short_song_dir, tmp_path):
         # One config file serves features and segment alike: features reads
@@ -971,6 +1011,8 @@ class TestCli:
         (["--compressor", "ae", "--subdivision", "90"], None, "subdivision must be divisible by 4, got 90"),
         ([], "compressor = ae\nsubdivision = 90\n", "subdivision must be divisible by 4, got 90"),
         (["--tolerances=0.5,0.5000001,3"], None, "tolerances 0.5 and 0.5000001 share the report key '0.5'"),
+        (["--compressor", "ae", "--dc", "8000"], None,
+         "d_c=8000 is not a compression of the 7680-dim bottleneck input"),
     ])
     def test_bad_setting_exits_2_before_any_stage(self, song_dir, tmp_path, capsys, flags, config, message):
         if config is not None:

@@ -23,13 +23,13 @@ def test_spans_merge_a_short_tail(n, size, expected):
 
 
 class FakeBLAS:
-    """An OpenBLAS thread count behind the (get, set) pair `workers._openblas` gives; records each set."""
+    """An OpenBLAS thread count behind the handle `workers.openblas` gives; records each set."""
 
     def __init__(self, threads):
         self.threads, self.sets = threads, []
 
-    def get(self):
-        return self.threads
+    def handle(self):
+        return workers.OpenBLAS(lambda: self.threads, self.put, "Fake")
 
     def put(self, n):
         self.sets.append(n)
@@ -41,7 +41,7 @@ def fake_blas(monkeypatch):
     """Returns a function that installs a FakeBLAS of n threads, or no OpenBLAS for None."""
     def install(threads):
         blas = None if threads is None else FakeBLAS(threads)
-        monkeypatch.setattr(workers, "_openblas", lambda: blas and (blas.get, blas.put))
+        monkeypatch.setattr(workers, "openblas", lambda: blas and blas.handle())
         return blas
     return install
 
@@ -79,7 +79,7 @@ def test_a_helper_thread_needs_a_cpu_beside_blas(cpus, env, expected):
     if len(os.sched_getaffinity(0)) < cpus:
         pytest.skip(f"needs {cpus} CPUs")
     code = (f"import os; os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:{cpus}]); "
-            "import numpy, barseg.workers as w; print(w._openblas() is not None, w.worker_count())")
+            "import numpy, barseg.workers as w; print(w.openblas() is not None, w.worker_count())")
     base = {name: value for name, value in os.environ.items() if name not in BLAS_VARIABLES}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**base, **env, "PYTHONPATH": SRC_DIR})
@@ -131,15 +131,30 @@ def test_without_openblas_one_blas_thread_leaves_blas_alone(fake_blas):
 
 
 def test_one_blas_thread_holds_numpys_openblas(set_blas_threads):
-    get, _ = workers._openblas()
+    get = workers.openblas().threads
     set_blas_threads(2)
     with workers.one_blas_thread():
         assert get() == 1
     assert get() == 2
 
 
+def test_the_openblas_handle_sets_what_it_reads_and_names_its_core():
+    blas = workers.openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS found")
+    before = blas.threads()
+    try:
+        blas.set_threads(1)
+        assert blas.threads() == 1
+    finally:
+        blas.set_threads(before)
+    assert blas.threads() == before
+    assert isinstance(blas.core, str) and blas.core
+    assert workers.openblas() is blas  # found once
+
+
 def test_import_barseg_looks_for_no_openblas():
-    code = "import barseg, barseg.workers as w; print(w._openblas.cache_info().currsize)"
+    code = "import barseg, barseg.workers as w; print(w.openblas.cache_info().currsize)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": SRC_DIR}).stdout
     assert out.split() == ["0"]
